@@ -162,6 +162,7 @@ let verdict t = function
 
 let validate_conflict_report t (cr : Cex.Driver.conflict_report) =
   Trace.timed t.sink t.clock "validate" (fun () ->
+      let items_before = Earley.items_built t.earley in
       let validation =
         match cr.Cex.Driver.counterexample with
         | Some (Cex.Driver.Unifying _ as cex) ->
@@ -180,6 +181,10 @@ let validate_conflict_report t (cr : Cex.Driver.conflict_report) =
       (match validation with
       | Cex.Driver.Validation_failed _ -> Trace.count t.sink "validate" "failed" 1
       | Cex.Driver.Validated | Cex.Driver.Not_validated -> ());
+      (* Charts are built on memo misses only: a machine-independent count
+         of this check's own work. *)
+      Trace.count t.sink "validate" "chart_items"
+        (Earley.items_built t.earley - items_before);
       { cr with Cex.Driver.validation })
 
 let merge_metrics a b =

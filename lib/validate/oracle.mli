@@ -2,7 +2,7 @@
 
     The search engine ({!Cex.Driver}) produces counterexamples; this module
     independently re-verifies them against the grammar, the LALR automaton
-    and an Earley-style chart parser, so a bug anywhere in the construction
+    and an Earley chart parser, so a bug anywhere in the construction
     pipeline surfaces as a {!Cex.Driver.Validation_failed} verdict instead
     of a silently wrong report.
 
@@ -43,7 +43,9 @@ val of_session : Cex_session.Session.t -> t
 
 val metrics : t -> Cex_session.Trace.metrics
 (** Everything recorded so far under the ["validate"] stage: one span per
-    checked report plus ["unifying"]/["nonunifying"]/["failed"] counters. *)
+    checked report plus ["unifying"]/["nonunifying"]/["failed"] counters and
+    ["chart_items"], the Earley chart items built for the checks (memoized
+    forms build none). *)
 
 val check_unifying : t -> Cex.Product_search.unifying -> string list
 val check_nonunifying : t -> Cex.Nonunifying.t -> string list

@@ -69,15 +69,13 @@ let check_entry e =
           false
           (Derivation.equal u.Cex.Product_search.deriv1
              u.Cex.Product_search.deriv2);
-        (* Chart validation is exponential-ish on long forms; skip monsters. *)
-        if List.length u.Cex.Product_search.form <= 16 then
-          Alcotest.(check bool)
-            (Fmt.str "%s: chart-ambiguous (%a)" e.Corpus.name
-               (Grammar.pp_symbols g) u.Cex.Product_search.form)
-            true
-            (Earley.ambiguous_from earley
-               ~start:(Symbol.Nonterminal u.Cex.Product_search.nonterminal)
-               u.Cex.Product_search.form)
+        Alcotest.(check bool)
+          (Fmt.str "%s: chart-ambiguous (%a)" e.Corpus.name
+             (Grammar.pp_symbols g) u.Cex.Product_search.form)
+          true
+          (Earley.ambiguous_from earley
+             ~start:(Symbol.Nonterminal u.Cex.Product_search.nonterminal)
+             u.Cex.Product_search.form)
       | Some (Cex.Driver.Nonunifying nu) ->
         (* Both sentential forms must be derivable from the start symbol. *)
         let start = Symbol.Nonterminal (Grammar.start g) in
@@ -87,16 +85,14 @@ let check_entry e =
         let form2 =
           nu.Cex.Nonunifying.prefix @ nu.Cex.Nonunifying.other_continuation
         in
-        if List.length form1 <= 16 then
-          Alcotest.(check bool)
-            (Fmt.str "%s: reduce side derivable" e.Corpus.name)
-            true
-            (Earley.derives earley ~start form1);
-        if List.length form2 <= 16 then
-          Alcotest.(check bool)
-            (Fmt.str "%s: other side derivable" e.Corpus.name)
-            true
-            (Earley.derives earley ~start form2))
+        Alcotest.(check bool)
+          (Fmt.str "%s: reduce side derivable" e.Corpus.name)
+          true
+          (Earley.derives earley ~start form1);
+        Alcotest.(check bool)
+          (Fmt.str "%s: other side derivable" e.Corpus.name)
+          true
+          (Earley.derives earley ~start form2))
     report.Cex.Driver.conflict_reports;
   (* Unambiguous grammars must never get a unifying counterexample; for
      ambiguous ones we expect at least one, except the known hard cases. *)

@@ -149,9 +149,79 @@ let prop_random_derivations_accepted =
         let sentence =
           List.map (fun t -> Symbol.Terminal t) (Analysis.min_sentence a form)
         in
-        List.length sentence > 12
-        || Earley.derives e ~start:(Symbol.Nonterminal start) sentence
+        Earley.derives e ~start:(Symbol.Nonterminal start) sentence
       end)
+
+(* Reference property: on random grammars with empty, unit and cyclic rules,
+   the chart's counts equal those of the dense span DP (Dense_chart), for
+   random forms over all symbols and random start symbols. Half the forms
+   are grown from the start symbol by random expansions, so that derivable
+   and ambiguous forms come up, not only rejections. *)
+let prop_counts_match_reference =
+  QCheck.Test.make ~name:"counts match the dense reference" ~count:300
+    QCheck.(pair (QCheck.make Test_analysis.gen_spec) (int_bound 1_000_000))
+    (fun (source, seed) ->
+      let g = Spec_parser.grammar_of_string_exn source in
+      let e = Earley.make g in
+      let rng = Random.State.make [| seed |] in
+      let symbols =
+        List.init (Grammar.n_terminals g) (fun t -> Symbol.Terminal t)
+        @ List.init (Grammar.n_nonterminals g) (fun n -> Symbol.Nonterminal n)
+      in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let rec grow form steps =
+        let slots =
+          List.filter_map
+            (fun (i, sym) ->
+              match sym with
+              | Symbol.Nonterminal n -> Some (i, n)
+              | Symbol.Terminal _ -> None)
+            (List.mapi (fun i sym -> (i, sym)) form)
+        in
+        if steps = 0 || slots = [] || List.length form > 8 then form
+        else
+          let at, n = pick slots in
+          let rhs =
+            Array.to_list
+              (Grammar.production g (pick (Grammar.productions_of g n)))
+                .Grammar.rhs
+          in
+          grow
+            (List.concat
+               (List.mapi (fun i sym -> if i = at then rhs else [ sym ]) form))
+            (steps - 1)
+      in
+      let check () =
+        let start = pick symbols in
+        let form =
+          if Random.State.bool rng then
+            List.init (Random.State.int rng 7) (fun _ -> pick symbols)
+          else grow [ start ] (Random.State.int rng 5)
+        in
+        let mismatch what ours reference =
+          if ours <> reference then
+            QCheck.Test.fail_reportf
+              "%s from %s of [%a]: chart %d, reference %d" what
+              (Grammar.symbol_name g start) (Grammar.pp_symbols g) form ours
+              reference
+        in
+        List.iter
+          (fun cap ->
+            mismatch (Fmt.str "count_rooted cap %d" cap)
+              (Earley.count_rooted e ~cap ~start form)
+              (Dense_chart.count_rooted g ~cap ~start form);
+            mismatch (Fmt.str "count_trees cap %d" cap)
+              (Earley.count_trees e ~cap ~start form)
+              (Dense_chart.count_trees g ~cap ~start form))
+          [ 1; 2; 4 ];
+        mismatch "derives"
+          (Bool.to_int (Earley.derives e ~start form))
+          (Bool.to_int (Dense_chart.derives g ~start form))
+      in
+      for _ = 1 to 8 do
+        check ()
+      done;
+      true)
 
 let suite =
   ( "earley",
@@ -169,4 +239,5 @@ let suite =
       Alcotest.test_case "epsilon ambiguity" `Quick test_epsilon_ambiguity;
       Alcotest.test_case "derivation enumeration" `Quick
         test_derivations_enumeration;
-      QCheck_alcotest.to_alcotest prop_random_derivations_accepted ] )
+      QCheck_alcotest.to_alcotest prop_random_derivations_accepted;
+      QCheck_alcotest.to_alcotest prop_counts_match_reference ] )

@@ -52,17 +52,30 @@ let corpus_cases =
     (Corpus.all ())
 
 (* The validate stage must show up in the merged metrics, one span per
-   conflict. *)
+   conflict, with the chart items the oracle built as a work counter: above
+   zero, and the same when the same report is validated again by a fresh
+   oracle. *)
 let test_metrics_merged () =
   let session, oracle, report = analyzed Corpus.Paper_grammars.figure1 in
-  ignore session;
-  let report = Oracle.validate_report oracle report in
-  match List.assoc_opt "validate" report.Cex.Driver.metrics with
-  | None -> Alcotest.fail "no validate stage in merged metrics"
-  | Some m ->
-    Alcotest.(check int) "one span per conflict"
-      (List.length report.Cex.Driver.conflict_reports)
-      m.Cex_session.Trace.spans
+  let validate_metric oracle =
+    match
+      List.assoc_opt "validate"
+        (Oracle.validate_report oracle report).Cex.Driver.metrics
+    with
+    | None -> Alcotest.fail "no validate stage in merged metrics"
+    | Some m -> m
+  in
+  let m = validate_metric oracle in
+  Alcotest.(check int) "one span per conflict"
+    (List.length report.Cex.Driver.conflict_reports)
+    m.Cex_session.Trace.spans;
+  let chart_items (m : Cex_session.Trace.metric) =
+    Option.value ~default:0
+      (List.assoc_opt "chart_items" m.Cex_session.Trace.counters)
+  in
+  Alcotest.(check bool) "chart items counted" true (chart_items m > 0);
+  Alcotest.(check int) "chart items repeat" (chart_items m)
+    (chart_items (validate_metric (Oracle.of_session session)))
 
 (* ------------------------------------------------------------------ *)
 (* Rejection: hand-mutated counterexamples must each fail with the right
