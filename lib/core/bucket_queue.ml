@@ -35,16 +35,24 @@ let add q priority value =
   if q.size = 0 || priority < q.min_prio then q.min_prio <- priority;
   q.size <- q.size + 1
 
+(* Advance [min_prio] to the first nonempty bucket. *)
+let settle q =
+  while Queue.is_empty q.buckets.(q.min_prio) do
+    q.min_prio <- q.min_prio + 1
+  done
+
+(* [min_priority] and [pop] return bare values, with no option or pair to
+   allocate per pop. *)
+let min_priority q =
+  if q.size = 0 then invalid_arg "Bucket_queue.min_priority: empty queue";
+  settle q;
+  q.min_prio
+
 let pop q =
-  if q.size = 0 then None
-  else begin
-    while Queue.is_empty q.buckets.(q.min_prio) do
-      q.min_prio <- q.min_prio + 1
-    done;
-    let value = Queue.pop q.buckets.(q.min_prio) in
-    q.size <- q.size - 1;
-    Some (q.min_prio, value)
-  end
+  if q.size = 0 then invalid_arg "Bucket_queue.pop: empty queue";
+  settle q;
+  q.size <- q.size - 1;
+  Queue.pop q.buckets.(q.min_prio)
 
 let clear q =
   if q.size > 0 then

@@ -16,8 +16,14 @@ val size : 'a t -> int
 val add : 'a t -> int -> 'a -> unit
 (** Raises [Invalid_argument] on a negative priority. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Smallest priority first; among equal priorities, insertion order. *)
+val min_priority : 'a t -> int
+(** The priority of the entry {!pop} returns next. Raises
+    [Invalid_argument] on an empty queue. *)
+
+val pop : 'a t -> 'a
+(** Remove and return the next entry: smallest priority first; among equal
+    priorities, insertion order. Raises [Invalid_argument] on an empty
+    queue. *)
 
 val clear : 'a t -> unit
 (** Empty in place, retaining internal capacity for reuse. *)

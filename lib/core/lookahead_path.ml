@@ -152,10 +152,9 @@ let find ?(transition_cost = 1) ?(production_cost = 0)
       !pops land Cex_session.Deadline.poll_mask = 0 && !pops > 0
       && Cex_session.Deadline.expired deadline
     then timed_out := true
-    else
-    match Bucket_queue.pop queue with
-    | None -> assert false
-    | Some (cost, entry) ->
+    else begin
+      let cost = Bucket_queue.min_priority queue in
+      let entry = Bucket_queue.pop queue in
       incr pops;
       let { state; id; lookahead; _ } = entry in
       let key = (state * n_ids) + id in
@@ -197,6 +196,7 @@ let find ?(transition_cost = 1) ?(production_cost = 0)
           | Some (Symbol.Terminal _) | None -> ()
         end
       end
+    end
   done;
   put_scratch scratch;
   Cex_session.Trace.count trace "path_search" "relaxations" !relaxations;

@@ -3,12 +3,15 @@
 
     Two copies of the parser are simulated from the conflict state outwards:
     copy 1 is forced to use the conflict reduce item, copy 2 the shift item
-    (or second reduce item). Configurations pair an item sequence and a
-    partial-derivation list per copy; moves are the paper's Fig. 10 edges
-    (forward/reverse transitions and production steps, and reductions).
-    The search is cost-ordered (cheapest configuration first) and succeeds
-    when both copies have completed a derivation of the same nonterminal over
-    the same symbol string — the unifying counterexample.
+    (or second reduce item). A configuration holds one item sequence per
+    copy; moves are the paper's Fig. 10 edges (forward/reverse transitions
+    and production steps, and reductions). The search is cost-ordered
+    (cheapest configuration first) and succeeds when both copies have
+    completed a derivation of the same nonterminal over the same symbol
+    string — the unifying counterexample. Partial derivations are not
+    carried along: they are rebuilt, by replaying the moves that led to a
+    configuration, only for configurations that pass every other success
+    test.
 
     By default, reverse transitions are restricted to states on the shortest
     lookahead-sensitive path (the paper's practical tradeoff, section 6);

@@ -82,16 +82,15 @@ let add_conflict buf g lalr ~max_configs (c : Conflict.t) =
     pf "nu-d2: %s\n"
       (Fmt.str "%a" (pp_deriv g) nu.Cex.Nonunifying.deriv2)
 
-let grammar_summary buf ~max_configs (entry : Corpus.entry) =
+let grammar_section buf ~max_configs ~name g =
   let pf fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-  let g = Corpus.grammar entry in
   let session =
     Cex_session.Session.create ~trace:Cex_session.Trace.null g
   in
   let table = Cex_session.Session.table session in
   let lalr = Cex_session.Session.lalr session in
   let conflicts = Cex_session.Session.conflicts session in
-  pf "== %s conflicts=%d states=%d\n" entry.Corpus.name
+  pf "== %s conflicts=%d states=%d\n" name
     (List.length conflicts)
     (Lr0.n_states (Parse_table.lr0 table));
   List.iter (add_conflict buf g lalr ~max_configs) conflicts
@@ -100,5 +99,36 @@ let summary ?(max_configs = default_max_configs) () =
   let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf
     (Fmt.str "equivalence transcript v1 max_configs=%d\n" max_configs);
-  List.iter (grammar_summary buf ~max_configs) (Corpus.all ());
+  List.iter
+    (fun (entry : Corpus.entry) ->
+      grammar_section buf ~max_configs ~name:entry.Corpus.name
+        (Corpus.grammar entry))
+    (Corpus.all ());
+  Buffer.contents buf
+
+(* The stress pin. The corpus transcript never builds a configuration longer
+   than a few dozen entries; stress grammars at a moderate budget reach
+   sequences and derivations hundreds of entries long. Their full transcript
+   would be large, so the pin keeps one MD5 per grammar section and the tool
+   prints any section in full for diffing. *)
+
+let stress_grammars = 100
+let stress_max_configs = 2_000
+
+let stress_section i =
+  let name, g = Corpus.Stress.entry i in
+  let buf = Buffer.create 4096 in
+  grammar_section buf ~max_configs:stress_max_configs ~name g;
+  Buffer.contents buf
+
+let stress_pin () =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (Fmt.str "stress pin v1 max_configs=%d grammars=%d\n" stress_max_configs
+       stress_grammars);
+  for i = 0 to stress_grammars - 1 do
+    Buffer.add_string buf
+      (Fmt.str "%s %s\n" (Corpus.Stress.name i)
+         (Digest.to_hex (Digest.string (stress_section i))))
+  done;
   Buffer.contents buf

@@ -84,6 +84,10 @@ let follow_l a (p : Grammar.production) ~dot l =
   let rest, rest_nullable = first_of_prod a ~prod:p.Grammar.index ~from:(dot + 1) in
   if rest_nullable then Bitset.union rest l else rest
 
+let mem_follow_l a (p : Grammar.production) ~dot l t =
+  let rest, rest_nullable = first_of_prod a ~prod:p.Grammar.index ~from:(dot + 1) in
+  Bitset.mem rest t || (rest_nullable && Bitset.mem l t)
+
 (* ------------------------------------------------------------------ *)
 (* Fixpoint computations. *)
 

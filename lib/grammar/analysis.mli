@@ -54,6 +54,11 @@ val follow_l : t -> Grammar.production -> dot:int -> Bitset.t -> Bitset.t
     actually follow the nonterminal at position [dot] of the production when
     the item's precise lookahead set is the last argument. *)
 
+val mem_follow_l :
+  t -> Grammar.production -> dot:int -> Bitset.t -> int -> bool
+(** [mem_follow_l a p ~dot l t] is [Bitset.mem (follow_l a p ~dot l) t],
+    without building the set. *)
+
 val reachable : t -> int -> bool
 (** Reachable from the augmented start symbol. *)
 

@@ -31,6 +31,17 @@ let test_first_nullable_chain () =
   let a = analysis "s : a_ b_ Z ; a_ : X | ; b_ : Y | ;" in
   Alcotest.(check (list string)) "FIRST s" [ "X"; "Y"; "Z" ] (first_names a "s")
 
+(* [mem_follow_l] must answer every terminal as membership in [follow_l]. *)
+let check_mem_follow_l a p ~dot l =
+  let g = Analysis.grammar a in
+  let follow = Analysis.follow_l a p ~dot l in
+  for t = 0 to Grammar.n_terminals g - 1 do
+    Alcotest.(check bool)
+      (Fmt.str "mem_follow_l dot=%d %s" dot (Grammar.terminal_name g t))
+      (Bitset.mem follow t)
+      (Analysis.mem_follow_l a p ~dot l t)
+  done
+
 let test_follow_l () =
   (* followL cases from the paper: dot before the last symbol yields L; a
      terminal after the stepped symbol yields that terminal; a nonnullable
@@ -54,7 +65,8 @@ let test_follow_l () =
     (names (Analysis.follow_l a p ~dot:3 l));
   (* Dot before the last symbol (dot=4): the precise lookahead L itself. *)
   Alcotest.(check (list string)) "followL last" [ "B" ]
-    (names (Analysis.follow_l a p ~dot:4 l))
+    (names (Analysis.follow_l a p ~dot:4 l));
+  List.iter (fun dot -> check_mem_follow_l a p ~dot l) [ 0; 1; 2; 3; 4 ]
 
 let test_follow_l_nullable_tail () =
   let a = analysis "s : A e f_ ; e : E ; f_ : F | ;" in
@@ -64,7 +76,8 @@ let test_follow_l_nullable_tail () =
   let names s = List.map (Grammar.terminal_name g) (Bitset.elements s) in
   (* Stepping into e: f_ nullable and nothing else follows, so FIRST(f_) + L. *)
   Alcotest.(check (list string)) "followL with nullable tail" [ "A"; "F" ]
-    (names (Analysis.follow_l a p ~dot:1 l))
+    (names (Analysis.follow_l a p ~dot:1 l));
+  List.iter (fun dot -> check_mem_follow_l a p ~dot l) [ 0; 1; 2 ]
 
 let test_productive_reachable () =
   let a = analysis "s : X | bad ; bad : Y bad ; lost : Z ; s : W ;" in

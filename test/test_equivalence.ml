@@ -43,7 +43,26 @@ let test_equivalence () =
        engine: %s"
       line e a
 
+(* The stress pin covers the regime the corpus golden never reaches: item
+   sequences and derivations hundreds of entries long. A mismatching line
+   names the grammar; print its section at two builds and diff them:
+     dune exec tools/equivalence.exe -- --stress-section I
+   Regenerate (only for a change meant to alter outcomes):
+     dune exec tools/equivalence.exe -- --stress-pin > test/stress.pin *)
+let test_stress_pin () =
+  let expected = read_file "stress.pin" in
+  let actual = Evaluation.Equivalence.stress_pin () in
+  match first_diff expected actual with
+  | None -> ()
+  | Some (line, e, a) ->
+    Alcotest.failf
+      "stress transcript diverges from the pin at line %d:@\n\
+       pin:    %s@\n\
+       engine: %s"
+      line e a
+
 let suite =
   ( "equivalence",
     [ Alcotest.test_case "corpus-wide golden transcript" `Slow
-        test_equivalence ] )
+        test_equivalence;
+      Alcotest.test_case "stress grammars 0-99 pin" `Quick test_stress_pin ] )

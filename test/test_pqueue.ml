@@ -82,14 +82,29 @@ let prop_bucket_matches_pqueue =
             pq := Cex.Pqueue.add !pq p !serial;
             true
           | None -> (
-            match (Cex.Bucket_queue.pop bq, Cex.Pqueue.pop !pq) with
-            | None, None -> true
-            | Some (bp, bv), Some (pp, pv, pq') ->
+            match Cex.Pqueue.pop !pq with
+            | None -> Cex.Bucket_queue.is_empty bq
+            | Some (pp, pv, pq') ->
               pq := pq';
-              bp = pp && bv = pv
-            | _ -> false))
+              (not (Cex.Bucket_queue.is_empty bq))
+              &&
+              let bp = Cex.Bucket_queue.min_priority bq in
+              let bv = Cex.Bucket_queue.pop bq in
+              bp = pp && bv = pv))
         ops
       && Cex.Bucket_queue.size bq = Cex.Pqueue.size !pq)
+
+let test_bucket_empty () =
+  let q = Cex.Bucket_queue.create () in
+  Cex.Bucket_queue.add q 3 "x";
+  Alcotest.(check int) "min priority" 3 (Cex.Bucket_queue.min_priority q);
+  Alcotest.(check string) "pop" "x" (Cex.Bucket_queue.pop q);
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Bucket_queue.pop: empty queue") (fun () ->
+      ignore (Cex.Bucket_queue.pop q));
+  Alcotest.check_raises "min_priority on empty"
+    (Invalid_argument "Bucket_queue.min_priority: empty queue") (fun () ->
+      ignore (Cex.Bucket_queue.min_priority q))
 
 let suite =
   ( "pqueue",
@@ -97,5 +112,6 @@ let suite =
       Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
       Alcotest.test_case "persistence" `Quick test_persistence;
       Alcotest.test_case "size" `Quick test_size;
+      Alcotest.test_case "bucket queue empty" `Quick test_bucket_empty;
       QCheck_alcotest.to_alcotest prop_heap_sort;
       QCheck_alcotest.to_alcotest prop_bucket_matches_pqueue ] )

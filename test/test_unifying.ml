@@ -233,6 +233,60 @@ let prop_unifying_sound =
               true))
         (Parse_table.conflicts table))
 
+(* Allocation per explored configuration, gated as a work counter: with one
+   domain, the words a search allocates are a deterministic function of the
+   grammar, the budget and the compiler. Paths are found before the
+   measurement starts, so only [Product_search.search] is counted. With
+   OCaml 5.1.1 the slice allocates 94.3 words per configuration; the bound
+   adds 10%. *)
+let alloc_slice = [ "Java.1"; "C.1"; "Pascal.1"; "SQL.4"; "stackovf10" ]
+let alloc_words_per_config_bound = 104.
+
+let test_alloc_per_config () =
+  let words = ref 0. and configs = ref 0 in
+  let per_grammar =
+    List.map
+      (fun name ->
+        let lalr, conflicts =
+          setup (Corpus.find name).Corpus.source
+        in
+        let w = ref 0. and n = ref 0 in
+        List.iter
+          (fun c ->
+            match
+              Cex.Lookahead_path.find lalr ~conflict_state:c.Conflict.state
+                ~reduce_item:(Conflict.reduce_item c)
+                ~terminal:c.Conflict.terminal
+            with
+            | None -> ()
+            | Some path ->
+              let path_states = Cex.Lookahead_path.states_on_path path in
+              let w0 = Gc.minor_words () in
+              let outcome =
+                Cex.Product_search.search ~max_configs:10_000 lalr
+                  ~conflict:c ~path_states
+              in
+              w := !w +. (Gc.minor_words () -. w0);
+              let stats =
+                match outcome with
+                | Cex.Product_search.Unifying (_, s)
+                | Cex.Product_search.Timeout s
+                | Cex.Product_search.Exhausted s -> s
+              in
+              n := !n + stats.Cex.Product_search.configs_explored)
+          conflicts;
+        words := !words +. !w;
+        configs := !configs + !n;
+        Fmt.str "%s %.1f (%d configs)" name (!w /. float_of_int !n) !n)
+      alloc_slice
+  in
+  let per_config = !words /. float_of_int !configs in
+  if per_config > alloc_words_per_config_bound then
+    Alcotest.failf
+      "search allocates %.1f words per configuration (bound %.0f): %s"
+      per_config alloc_words_per_config_bound
+      (String.concat ", " per_grammar)
+
 let suite =
   ( "unifying",
     [ Alcotest.test_case "expr plus (section 2.4)" `Quick test_expr_plus;
@@ -249,4 +303,6 @@ let suite =
       Alcotest.test_case "driver outcomes" `Quick test_driver_outcomes;
       Alcotest.test_case "driver cumulative budget" `Quick
         test_driver_cumulative_budget;
+      Alcotest.test_case "allocation per configuration" `Quick
+        test_alloc_per_config;
       QCheck_alcotest.to_alcotest prop_unifying_sound ] )
