@@ -105,10 +105,15 @@ let n_crashed = count Search_crashed
 
 type path_memo = {
   memo_lock : Mutex.t;
-  (* (conflict state, reduce item id, conflict terminal) -> shortest path.
-     Shift/reduce conflicts are recorded once per shift item, so a state
-     with several shift items on the same terminal shares one entry. *)
-  memo_tbl : (int * int * int, Lookahead_path.t) Hashtbl.t;
+  (* Conflicts group by (conflict state, reduce item id), packed into one
+     int. [groups] holds the distinct terminals of each group's conflicts in
+     the session's conflict list; it is built with the memo and never
+     changes, so it is read without the lock. Shift/reduce conflicts are
+     recorded once per shift item, so a state with several shift items on
+     the same terminal contributes one terminal. *)
+  groups : (int, int list) Hashtbl.t;
+  (* group -> the group's shortest paths, by terminal *)
+  memo_tbl : (int, (int * Lookahead_path.t) list) Hashtbl.t;
 }
 
 let path_memo_key : path_memo Session.Store.key = Session.Store.key ()
@@ -116,21 +121,52 @@ let path_memo_key : path_memo Session.Store.key = Session.Store.key ()
 let shared_ctx_key : Product_search.shared Session.Store.key =
   Session.Store.key ()
 
+let group_key lr0 conflict =
+  (conflict.Conflict.state * Lr0.n_item_ids lr0)
+  + Lr0.item_id lr0 (Conflict.reduce_item conflict)
+
 let path_memo session =
   Session.shared session path_memo_key (fun () ->
-      { memo_lock = Mutex.create (); memo_tbl = Hashtbl.create 16 })
+      let lr0 = Session.lr0 session in
+      let groups = Hashtbl.create 16 in
+      List.iter
+        (fun c ->
+          let key = group_key lr0 c in
+          let terminals =
+            Option.value ~default:[] (Hashtbl.find_opt groups key)
+          in
+          if not (List.mem c.Conflict.terminal terminals) then
+            Hashtbl.replace groups key (c.Conflict.terminal :: terminals))
+        (Session.conflicts session);
+      { memo_lock = Mutex.create (); groups; memo_tbl = Hashtbl.create 16 })
 
 let shared_ctx session =
   Session.shared session shared_ctx_key (fun () ->
       Product_search.shared_of_lalr (Session.lalr session))
 
+let installed memo key =
+  Mutex.lock memo.memo_lock;
+  let paths = Hashtbl.find_opt memo.memo_tbl key in
+  Mutex.unlock memo.memo_lock;
+  paths
+
+(* The conflict's path from its group's installed memo entry, if any;
+   never searches. *)
+let memoized_path session conflict =
+  Option.bind
+    (installed (path_memo session) (group_key (Session.lr0 session) conflict))
+    (List.assoc_opt conflict.Conflict.terminal)
+
 (* The shortest lookahead-sensitive path for a conflict, through the session
-   memo. On a miss the search runs with a buffered local collector; only the
-   domain whose result is installed (first writer wins) flushes the span and
+   memo. A miss runs one {!Lookahead_path.find_all} for every terminal of
+   the conflict's group, with a buffered local collector; only the domain
+   whose result is installed (first writer wins) flushes the span and
    counters into [trace], so metric totals are identical at any jobs count —
-   exactly one emission per distinct key, whichever domain computed it.
-   Failed searches ([None]: deadline expiry) are never memoized, so a later
-   attempt under a fresh budget can still succeed. *)
+   exactly one emission per group, whichever domain computed it. A search
+   stopped by the deadline is never memoized, so a later attempt under a
+   fresh budget can still succeed. A conflict outside the session's conflict
+   list (a precedence-resolved one, analyzed on demand) searches for its own
+   terminal alone and is not memoized. *)
 let find_path ~per_conflict session trace conflict =
   let clock = Session.clock session in
   let lalr = Session.lalr session in
@@ -139,27 +175,19 @@ let find_path ~per_conflict session trace conflict =
   let terminal = conflict.Conflict.terminal in
   let reduce_item = Conflict.reduce_item conflict in
   let reduce_id = Lr0.item_id lr0 reduce_item in
-  let key = (state, reduce_id, terminal) in
+  let key = group_key lr0 conflict in
   let memo = path_memo session in
-  let lookup () =
-    Mutex.lock memo.memo_lock;
-    let r = Hashtbl.find_opt memo.memo_tbl key in
-    Mutex.unlock memo.memo_lock;
-    r
-  in
-  match lookup () with
-  | Some path -> Some path
-  | None ->
+  let search terminals =
     let local = Trace.collector () in
     let t0 = Clock.now clock in
     let w0 = Gc.minor_words () in
     let relevant =
       Session.backward_reach session ~state ~item_id:reduce_id
     in
-    let path =
-      Lookahead_path.find ~deadline:per_conflict
+    let group =
+      Lookahead_path.find_all ~deadline:per_conflict
         ~trace:(Trace.collector_sink local) ~relevant lalr
-        ~conflict_state:state ~reduce_item ~terminal
+        ~conflict_state:state ~reduce_item ~terminals
     in
     let words = int_of_float (Gc.minor_words () -. w0) in
     let seconds = Clock.now clock -. t0 in
@@ -168,22 +196,28 @@ let find_path ~per_conflict session trace conflict =
       Trace.count trace "path_search" "alloc_words" words;
       Trace.replay_counters trace (Trace.metrics local)
     in
-    (match path with
+    group, emit
+  in
+  match Hashtbl.find_opt memo.groups key with
+  | Some terminals when List.mem terminal terminals -> (
+    match installed memo key with
+    | Some paths -> List.assoc_opt terminal paths
     | None ->
-      emit ();
-      None
-    | Some p ->
-      Mutex.lock memo.memo_lock;
-      let installed =
-        match Hashtbl.find_opt memo.memo_tbl key with
-        | Some existing -> existing
-        | None ->
-          Hashtbl.add memo.memo_tbl key p;
-          p
-      in
-      Mutex.unlock memo.memo_lock;
-      if installed == p then emit ();
-      Some installed)
+      let group, emit = search terminals in
+      if group.Lookahead_path.stopped then emit ()
+      else begin
+        Mutex.lock memo.memo_lock;
+        let fresh = not (Hashtbl.mem memo.memo_tbl key) in
+        if fresh then Hashtbl.add memo.memo_tbl key group.Lookahead_path.paths;
+        Mutex.unlock memo.memo_lock;
+        if fresh then emit ()
+      end;
+      (* Whichever domain installed the entry, the paths are the same. *)
+      List.assoc_opt terminal group.Lookahead_path.paths)
+  | Some _ | None ->
+    let group, emit = search [ terminal ] in
+    emit ();
+    List.assoc_opt terminal group.Lookahead_path.paths
 
 (* One engine's analysis of one conflict. Engine-specific spans and counters
    go through a prefixed sink (["product."] / ["srwalk."], satellite of the
@@ -219,10 +253,10 @@ let analyze_conflict_with ?(options = default_options) ?(skip_search = false)
     Deadline.consume deadline elapsed;
     { report with elapsed }
   in
-  let fallback outcome configs =
+  let fallback ?path outcome configs =
     let counterexample =
       Trace.timed etrace clock "nonunifying" (fun () ->
-          match Nonunifying.construct lalr conflict with
+          match Nonunifying.construct ?path lalr conflict with
           | Some nu -> Some (Nonunifying nu)
           | None -> None)
     in
@@ -243,11 +277,14 @@ let analyze_conflict_with ?(options = default_options) ?(skip_search = false)
         validation = Not_validated;
         engine = engine_name }
   in
-  if skip_search || budget_exhausted then fallback Skipped_search 0
+  (* Without a path of its own, the nonunifying fallback takes the group's
+     memoized one when another conflict installed it. *)
+  if skip_search || budget_exhausted then
+    fallback ?path:(memoized_path session conflict) Skipped_search 0
   else
     let path = find_path ~per_conflict session trace conflict in
     match path with
-    | None -> fallback Search_timeout 0
+    | None -> fallback ?path:(memoized_path session conflict) Search_timeout 0
     | Some path -> (
       let path_states = Lookahead_path.states_on_path path in
       match which with
@@ -263,9 +300,10 @@ let analyze_conflict_with ?(options = default_options) ?(skip_search = false)
         | Product_search.Unifying (u, stats) ->
           found u stats.Product_search.configs_explored
         | Product_search.Timeout stats ->
-          fallback Search_timeout stats.Product_search.configs_explored
+          fallback ~path Search_timeout stats.Product_search.configs_explored
         | Product_search.Exhausted stats ->
-          fallback No_unifying_exists stats.Product_search.configs_explored)
+          fallback ~path No_unifying_exists
+            stats.Product_search.configs_explored)
       | `Srwalk -> (
         let sr = Cex_srwalk.Sr_automaton.of_session session in
         match
@@ -286,9 +324,10 @@ let analyze_conflict_with ?(options = default_options) ?(skip_search = false)
               deriv2 = a.Cex_srwalk.Walk.deriv2 }
             stats.Cex_srwalk.Walk.nodes_explored
         | Cex_srwalk.Walk.Timeout stats ->
-          fallback Search_timeout stats.Cex_srwalk.Walk.nodes_explored
+          fallback ~path Search_timeout stats.Cex_srwalk.Walk.nodes_explored
         | Cex_srwalk.Walk.Exhausted stats ->
-          fallback No_unifying_exists stats.Cex_srwalk.Walk.nodes_explored))
+          fallback ~path No_unifying_exists
+            stats.Cex_srwalk.Walk.nodes_explored))
 
 (* ------------------------------------------------------------------ *)
 (* Race adjudication. Both engines analyzed the conflict under the shared

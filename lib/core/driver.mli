@@ -2,7 +2,8 @@
     counterexample to each, mirroring the paper's implementation strategy
     (section 6):
 
-    - compute the shortest lookahead-sensitive path per conflict;
+    - compute the shortest lookahead-sensitive path per conflict, one
+      search serving every conflict on the same state and reduce item;
     - run the product-parser search for a unifying counterexample under a
       per-conflict time limit (the paper's 5 s default);
     - fall back to a nonunifying counterexample on timeout or exhaustion;
@@ -139,9 +140,8 @@ val analyze_conflict :
     [options.per_conflict_timeout] via {!Cex_session.Deadline.clamp}, and
     the conflict's elapsed time is {!Cex_session.Deadline.consume}d from it
     afterwards. When the budget is already exhausted (or [skip_search] is
-    set) the searches are skipped entirely — no path computation — and the
-    report falls back to a nonunifying counterexample with
-    {!Skipped_search}.
+    set) the path and product searches are skipped and the report falls
+    back to a nonunifying counterexample with {!Skipped_search}.
 
     [trace] overrides the session's sink for this conflict's spans and
     counters (the parallel driver passes per-task collectors). Engine
@@ -151,9 +151,14 @@ val analyze_conflict :
     ["alloc_words"] counter with the [Gc.minor_words] delta of the search;
     the shared ["path_search"] stage stays unprefixed (both engines reuse
     the same memoized paths). Shortest paths are memoized on the session
-    per (conflict state, reduce item, terminal): a memo hit emits no
-    ["path_search"] span, so span and counter totals count distinct
-    searches, not conflicts.
+    per (conflict state, reduce item) group: one
+    {!Lookahead_path.find_all} finds the paths of every terminal of the
+    group's conflicts, and a memo hit emits no ["path_search"] span, so
+    span and counter totals count groups, not conflicts. The nonunifying
+    fallback reuses the conflict's path. When the search was skipped or
+    stopped by the deadline, it takes the group's memoized path if one is
+    installed, and otherwise searches for the path itself, with no
+    deadline.
 
     Under [options.engine = Race] both engines run sequentially here and
     the adjudicated winner is returned; {!analyze_session} instead fans

@@ -62,23 +62,44 @@ let backward_reachable_ids lalr ~conflict_state ~target_item =
   in
   fun state id -> Lr0.reach_mem lr0 reach state id
 
+(* Lookahead sets are interned per search: a vertex carries the id of its
+   precise lookahead set, so the visited test compares ints and [followL]
+   is computed once per (item id, lookahead id). *)
+module Set_tbl = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = Bitset.equal
+  let hash = Bitset.hash
+end)
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* [step] is the production of the production step that reached the entry,
+   or -1 for a transition (on the parent item's next symbol). The start
+   entry is its own parent. *)
 type search_entry = {
   state : int;
   id : int;  (* interned item id *)
-  lookahead : Bitset.t;
-  parent : (search_entry * step) option;
+  la : int;  (* interned lookahead-set id *)
+  step : int;
+  parent : search_entry;
 }
 
-(* Per-domain scratch pool. The visited array is sized by the automaton and
-   zeroed between searches by replaying the touched keys (bounded by the
-   pops of the previous search, not the array size); the bucket queue keeps
-   its bucket capacity across searches. Take-out/put-back through the DLS
-   slot: a search that raises abandons the scratch (slot left [None]), so a
-   dirty structure is never reused. *)
+(* Per-domain scratch pool. The visited array is sized by the largest
+   automaton searched so far and zeroed between searches by replaying the
+   touched keys (bounded by the pops of the previous search, not the array
+   size); the bucket queue keeps its bucket capacity across searches, and
+   the intern tables shrink back to their initial size. Take-out/put-back
+   through the DLS slot: a search that raises abandons the scratch (slot
+   left [None]), so a dirty structure is never reused. *)
 type scratch = {
-  mutable visited : Bitset.t list array;
+  mutable visited : int list array;  (* lookahead ids expanded per key *)
   mutable touched : int list;
   queue : search_entry Bucket_queue.t;
+  ids : int Set_tbl.t;  (* lookahead set -> id *)
+  mutable sets : Bitset.t array;  (* id -> lookahead set *)
+  mutable n_sets : int;
+  follow : int Int_tbl.t;  (* packed (lookahead id, item id) -> followL id *)
 }
 
 let scratch_slot : scratch option ref Domain.DLS.key =
@@ -89,10 +110,13 @@ let take_scratch ~size =
   let s =
     match !slot with
     | Some s -> s
-    | None -> { visited = [||]; touched = []; queue = Bucket_queue.create () }
+    | None ->
+      { visited = [||]; touched = []; queue = Bucket_queue.create ();
+        ids = Set_tbl.create 64; sets = Array.make 64 Bitset.empty;
+        n_sets = 0; follow = Int_tbl.create 64 }
   in
   slot := None;
-  if Array.length s.visited <> size then begin
+  if Array.length s.visited < size then begin
     s.visited <- Array.make size [];
     s.touched <- []
   end;
@@ -102,19 +126,52 @@ let put_scratch s =
   List.iter (fun key -> s.visited.(key) <- []) s.touched;
   s.touched <- [];
   Bucket_queue.clear s.queue;
+  Set_tbl.reset s.ids;
+  Array.fill s.sets 0 s.n_sets Bitset.empty;
+  s.n_sets <- 0;
+  Int_tbl.reset s.follow;
   Domain.DLS.get scratch_slot := Some s
 
-(* Shortest lookahead-sensitive path (paper section 4) from the start item
-   with precise lookahead {$} to the conflict reduce item with the conflict
-   terminal in its precise lookahead set. Transitions cost [transition_cost],
-   production steps [production_cost].
+let intern s set =
+  match Set_tbl.find_opt s.ids set with
+  | Some id -> id
+  | None ->
+    let id = s.n_sets in
+    if id = Array.length s.sets then begin
+      let sets = Array.make (2 * id) Bitset.empty in
+      Array.blit s.sets 0 sets 0 id;
+      s.sets <- sets
+    end;
+    s.sets.(id) <- set;
+    s.n_sets <- id + 1;
+    Set_tbl.add s.ids set id;
+    id
+
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: l -> x = y || mem_int x l
+
+type group = {
+  paths : (int * t) list;
+  stopped : bool;
+}
+
+(* Shortest lookahead-sensitive paths (paper section 4) from the start item
+   with precise lookahead {$} to the conflict reduce item, one per terminal
+   of [terminals]: the path to the first popped target vertex whose precise
+   lookahead set contains that terminal. Transitions cost
+   [transition_cost], production steps [production_cost].
+
+   The pop sequence does not depend on the terminals, and the target, a
+   reduce item, has no out-edges, so each terminal's path is exactly the
+   one a search for that terminal alone stops at. The search stops once
+   every terminal is found.
 
    The visited set is a flat array over packed (state, item id) keys holding
-   the lookahead sets already expanded for that pair — an int-indexed
-   replacement for the old polymorphic-hash vertex table. *)
-let find ?(transition_cost = 1) ?(production_cost = 0)
+   the lookahead ids already expanded for that pair. *)
+let find_all ?(transition_cost = 1) ?(production_cost = 0)
     ?(deadline = Cex_session.Deadline.never) ?(trace = Cex_session.Trace.null)
-    ?relevant lalr ~conflict_state ~reduce_item ~terminal =
+    ?relevant lalr ~conflict_state ~reduce_item ~terminals =
   let lr0 = Lalr.lr0 lalr in
   let g = Lalr.grammar lalr in
   let analysis = Lalr.analysis lalr in
@@ -125,18 +182,35 @@ let find ?(transition_cost = 1) ?(production_cost = 0)
     | None ->
       backward_reachable_ids lalr ~conflict_state ~target_item:reduce_item
   in
+  let terminals = List.sort_uniq Int.compare terminals in
   let scratch = take_scratch ~size:(Lr0.n_states lr0 * n_ids) in
   let visited = scratch.visited in
   let target_id = Lr0.item_id lr0 reduce_item in
-  let start =
-    { state = Lr0.start_state;
-      id = Lr0.item_id lr0 Item.start;
-      lookahead = Bitset.singleton 0;
-      parent = None }
+  let follow_id id la =
+    let key = (la * n_ids) + id in
+    match Int_tbl.find_opt scratch.follow key with
+    | Some f -> f
+    | None ->
+      let item = Lr0.item_of_id lr0 id in
+      let f =
+        intern scratch
+          (Analysis.follow_l analysis (Item.production g item)
+             ~dot:item.Item.dot scratch.sets.(la))
+      in
+      Int_tbl.add scratch.follow key f;
+      f
   in
   let queue = scratch.queue in
+  let rec start =
+    { state = Lr0.start_state;
+      id = Lr0.item_id lr0 Item.start;
+      la = intern scratch (Bitset.singleton 0);
+      step = -1;
+      parent = start }
+  in
   Bucket_queue.add queue 0 start;
-  let result = ref None in
+  let pending = ref terminals in
+  let found = ref [] in
   let pops = ref 0 in
   let relaxations = ref 0 in
   let timed_out = ref (Cex_session.Deadline.expired deadline) in
@@ -145,8 +219,7 @@ let find ?(transition_cost = 1) ?(production_cost = 0)
     Bucket_queue.add queue cost entry
   in
   while
-    Option.is_none !result && (not !timed_out)
-    && not (Bucket_queue.is_empty queue)
+    !pending <> [] && (not !timed_out) && not (Bucket_queue.is_empty queue)
   do
     if
       !pops land Cex_session.Deadline.poll_mask = 0 && !pops > 0
@@ -156,16 +229,21 @@ let find ?(transition_cost = 1) ?(production_cost = 0)
       let cost = Bucket_queue.min_priority queue in
       let entry = Bucket_queue.pop queue in
       incr pops;
-      let { state; id; lookahead; _ } = entry in
+      let { state; id; la; _ } = entry in
       let key = (state * n_ids) + id in
       let prev = visited.(key) in
-      if not (List.exists (fun la -> Bitset.equal la lookahead) prev) then begin
+      if not (mem_int la prev) then begin
         if prev == [] then scratch.touched <- key :: scratch.touched;
-        visited.(key) <- lookahead :: prev;
-        if state = conflict_state && id = target_id
-           && Bitset.mem lookahead terminal
-        then result := Some entry
-        else begin
+        visited.(key) <- la :: prev;
+        if state = conflict_state && id = target_id then begin
+          let lookahead = scratch.sets.(la) in
+          let hit, miss =
+            List.partition (fun t -> Bitset.mem lookahead t) !pending
+          in
+          List.iter (fun t -> found := (t, entry) :: !found) hit;
+          pending := miss
+        end;
+        if !pending <> [] then begin
           (* Transition edge. *)
           (match Lr0.next_symbol_of_id lr0 id with
           | None -> ()
@@ -175,44 +253,57 @@ let find ?(transition_cost = 1) ?(production_cost = 0)
             | Some state' ->
               if relevant state' (id + 1) then
                 push (cost + transition_cost)
-                  { state = state'; id = id + 1; lookahead;
-                    parent = Some (entry, Transition sym) }));
+                  { state = state'; id = id + 1; la; step = -1;
+                    parent = entry }));
           (* Production step edges. *)
           match Lr0.next_symbol_of_id lr0 id with
           | Some (Symbol.Nonterminal nt) ->
-            let item = Lr0.item_of_id lr0 id in
-            let follow =
-              Analysis.follow_l analysis (Item.production g item)
-                ~dot:item.Item.dot lookahead
-            in
+            let follow = follow_id id la in
             List.iter
               (fun p ->
                 let id' = Lr0.item_id lr0 (Item.make p 0) in
                 if relevant state id' then
                   push (cost + production_cost)
-                    { state; id = id'; lookahead = follow;
-                      parent = Some (entry, Production p) })
+                    { state; id = id'; la = follow; step = p; parent = entry })
               (Grammar.productions_of g nt)
           | Some (Symbol.Terminal _) | None -> ()
         end
       end
     end
   done;
-  put_scratch scratch;
-  Cex_session.Trace.count trace "path_search" "relaxations" !relaxations;
-  Cex_session.Trace.count trace "path_search" "pops" !pops;
-  match !result with
-  | None -> None
-  | Some entry ->
-    let rec unwind entry nodes steps =
+  let unwind entry =
+    let rec go entry nodes steps =
       let node =
         { state = entry.state;
           item = Lr0.item_of_id lr0 entry.id;
-          lookahead = entry.lookahead }
+          lookahead = scratch.sets.(entry.la) }
       in
-      match entry.parent with
-      | None -> node :: nodes, steps
-      | Some (parent, step) -> unwind parent (node :: nodes) (step :: steps)
+      let parent = entry.parent in
+      if parent == entry then node :: nodes, steps
+      else
+        let step =
+          if entry.step >= 0 then Production entry.step
+          else Transition (Option.get (Lr0.next_symbol_of_id lr0 parent.id))
+        in
+        go parent (node :: nodes) (step :: steps)
     in
-    let nodes, steps = unwind entry [] [] in
-    Some { nodes; steps }
+    let nodes, steps = go entry [] [] in
+    { nodes; steps }
+  in
+  let paths =
+    List.filter_map
+      (fun t ->
+        Option.map (fun entry -> (t, unwind entry)) (List.assoc_opt t !found))
+      terminals
+  in
+  put_scratch scratch;
+  Cex_session.Trace.count trace "path_search" "relaxations" !relaxations;
+  Cex_session.Trace.count trace "path_search" "pops" !pops;
+  { paths; stopped = !timed_out }
+
+let find ?transition_cost ?production_cost ?deadline ?trace ?relevant lalr
+    ~conflict_state ~reduce_item ~terminal =
+  List.assoc_opt terminal
+    (find_all ?transition_cost ?production_cost ?deadline ?trace ?relevant
+       lalr ~conflict_state ~reduce_item ~terminals:[ terminal ])
+      .paths

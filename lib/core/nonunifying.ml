@@ -1,5 +1,6 @@
 open Cfg
 open Automaton
+module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
   conflict : Conflict.t;
@@ -218,64 +219,68 @@ let other_side_frames ?(require_terminal = true) lalr path ~conflict_state
     in
     (Bitset.mem set terminal, nullable)
   in
-  let parents : (int * Item.t * bool, (int * Item.t * bool) option) Hashtbl.t =
-    Hashtbl.create 64
+  (* Search states pack into ints: ((position * n_ids + item id) * 2) plus
+     the [satisfied] bit. [parents] maps a state to the one it was reached
+     from, or -1 for the initial state. *)
+  let n_ids = Lr0.n_item_ids lr0 in
+  let pack pos id satisfied =
+    ((((pos * n_ids) + id) lsl 1) lor if satisfied then 1 else 0)
   in
+  let pos_of key = (key lsr 1) / n_ids in
+  let id_of key = (key lsr 1) mod n_ids in
+  let parents = Int_tbl.create 64 in
   let queue = Queue.create () in
   let visit key parent =
-    if not (Hashtbl.mem parents key) then begin
-      Hashtbl.add parents key parent;
+    if not (Int_tbl.mem parents key) then begin
+      Int_tbl.add parents key parent;
       Queue.add key queue
     end
   in
-  visit (m, other_item, init_satisfied) None;
-  let is_goal (pos, item, satisfied) =
-    pos = 0 && Item.equal item Item.start
-    && (satisfied || terminal = 0 || not require_terminal)
+  visit (pack m (Lr0.item_id lr0 other_item) init_satisfied) (-1);
+  let start_id = Lr0.item_id lr0 Item.start in
+  let is_goal key =
+    pos_of key = 0 && id_of key = start_id
+    && (key land 1 = 1 || terminal = 0 || not require_terminal)
   in
-  let goal = ref None in
-  while Option.is_none !goal && not (Queue.is_empty queue) do
-    let ((pos, item, satisfied) as key) = Queue.pop queue in
-    if is_goal key then goal := Some key
+  let goal = ref (-1) in
+  while !goal < 0 && not (Queue.is_empty queue) do
+    let key = Queue.pop queue in
+    let pos = pos_of key and id = id_of key and satisfied = key land 1 = 1 in
+    let item = Lr0.item_of_id lr0 id in
+    if is_goal key then goal := key
     else if item.Item.dot > 0 then begin
-      if pos > 0 then begin
-        let prev = Item.retreat item in
-        if Lr0.has_item (Lr0.state lr0 states.(pos - 1)) prev then
-          visit (pos - 1, prev, satisfied) (Some key)
-      end
+      if pos > 0 && Lr0.has_item_id lr0 states.(pos - 1) (id - 1) then
+        visit (pack (pos - 1) (id - 1) satisfied) key
     end
     else begin
-      let lhs = (Item.production g item).Grammar.lhs in
+      let lhs = Lr0.lhs_of_id lr0 id in
       List.iter
         (fun ctx ->
           let starts, nullable = suffix_class ctx in
-          let satisfied' = satisfied || starts in
           (* Prune contexts behind which the conflict terminal can never
              appear at the conflict point. *)
           if satisfied || starts || nullable || not require_terminal then
-            visit (pos, ctx, satisfied') (Some key))
+            visit (pack pos (Lr0.item_id lr0 ctx) (satisfied || starts)) key)
         (Lr0.items_with_next lr0 states.(pos) (Symbol.Nonterminal lhs))
     end
   done;
-  match !goal with
-  | None -> None
-  | Some goal ->
+  if !goal < 0 then None
+  else
     (* Follow parents from the goal back to the other item: this enumerates
        the forward chain from START to the conflict item. Open frames are the
        context items of the production steps (edges that kept the position
        and increased the dot of the context). *)
     let rec collect key frames =
-      match Hashtbl.find parents key with
-      | None -> frames
-      | Some next ->
-        let _, item, _ = key in
-        let _, next_item, _ = next in
+      let next = Int_tbl.find parents key in
+      if next < 0 then frames
+      else
         let frames =
           (* Edge key -> next in the backward search was a reverse production
              step iff positions match and [next] is the dot-0 item created by
              the step; forward, [key]'s item steps into [next]'s production. *)
-          if next_item.Item.dot = 0 && (fun (p, _, _) -> p) key = (fun (p, _, _) -> p) next
-          then item :: frames
+          if (Lr0.item_of_id lr0 (id_of next)).Item.dot = 0
+             && pos_of key = pos_of next
+          then Lr0.item_of_id lr0 (id_of key) :: frames
           else frames
         in
         collect next frames
@@ -283,18 +288,22 @@ let other_side_frames ?(require_terminal = true) lalr path ~conflict_state
     (* [collect] walks goal -> ... -> other_item following parent pointers
        (which point towards the other item); contexts encountered later are
        consed later, so the result is already innermost-first. *)
-    Some (collect goal [])
+    Some (collect !goal [])
 
 (* ------------------------------------------------------------------ *)
 
-let construct lalr (conflict : Conflict.t) =
+let construct ?path lalr (conflict : Conflict.t) =
   let g = Lalr.grammar lalr in
   let analysis = Lalr.analysis lalr in
   let reduce_item = Conflict.reduce_item conflict in
-  match
-    Lookahead_path.find lalr ~conflict_state:conflict.Conflict.state
-      ~reduce_item ~terminal:conflict.Conflict.terminal
-  with
+  let path =
+    match path with
+    | Some _ -> path
+    | None ->
+      Lookahead_path.find lalr ~conflict_state:conflict.Conflict.state
+        ~reduce_item ~terminal:conflict.Conflict.terminal
+  in
+  match path with
   | None -> None
   | Some path ->
     let prefix = Lookahead_path.prefix_symbols path in

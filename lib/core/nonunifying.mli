@@ -27,8 +27,11 @@ type t = {
   deriv2 : Derivation.t option;  (** likewise for the other side *)
 }
 
-val construct : Lalr.t -> Conflict.t -> t option
-(** [None] is not expected for genuine conflicts of the supplied automaton,
+val construct : ?path:Lookahead_path.t -> Lalr.t -> Conflict.t -> t option
+(** [path] is the conflict's shortest lookahead-sensitive path, as
+    {!Lookahead_path.find} returns it for the conflict's state, reduce item
+    and terminal; without it the path is searched here, with no deadline.
+    [None] is not expected for genuine conflicts of the supplied automaton,
     but callers must tolerate it. *)
 
 val expand_to_start_with :

@@ -23,7 +23,7 @@ let pp_deriv g ppf = function
   | None -> Fmt.string ppf "-"
   | Some d -> Derivation.pp g ppf d
 
-let add_conflict buf g lalr ~max_configs (c : Conflict.t) =
+let add_conflict buf g lalr ~max_configs ~path (c : Conflict.t) =
   let pf fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   let kind = if Conflict.is_shift_reduce c then "SR" else "RR" in
   pf "-- conflict state=%d terminal=%s kind=%s reduce={%s} other={%s}\n"
@@ -32,10 +32,6 @@ let add_conflict buf g lalr ~max_configs (c : Conflict.t) =
     kind
     (Item.to_string g (Conflict.reduce_item c))
     (Item.to_string g (Conflict.other_item c));
-  let path =
-    Cex.Lookahead_path.find lalr ~conflict_state:c.Conflict.state
-      ~reduce_item:(Conflict.reduce_item c) ~terminal:c.Conflict.terminal
-  in
   (match path with
   | None -> pf "path: none\n"
   | Some path ->
@@ -70,7 +66,7 @@ let add_conflict buf g lalr ~max_configs (c : Conflict.t) =
     | Cex.Product_search.Exhausted stats ->
       pf "search: exhausted configs=%d\n"
         stats.Cex.Product_search.configs_explored));
-  match Cex.Nonunifying.construct lalr c with
+  match Cex.Nonunifying.construct ?path lalr c with
   | None -> pf "nu: none\n"
   | Some nu ->
     pf "nu: prefix=%s reduce=%s other=%s\n"
@@ -93,7 +89,32 @@ let grammar_section buf ~max_configs ~name g =
   pf "== %s conflicts=%d states=%d\n" name
     (List.length conflicts)
     (Lr0.n_states (Parse_table.lr0 table));
-  List.iter (add_conflict buf g lalr ~max_configs) conflicts
+  (* As in the driver: one path search per (conflict state, reduce item)
+     group, whose paths also feed the nonunifying counterexamples. *)
+  let group_of (c : Conflict.t) = (c.Conflict.state, Conflict.reduce_item c) in
+  let groups = List.sort_uniq compare (List.map group_of conflicts) in
+  let paths =
+    List.map
+      (fun ((state, reduce_item) as group) ->
+        let terminals =
+          List.filter_map
+            (fun (c : Conflict.t) ->
+              if group_of c = group then Some c.Conflict.terminal else None)
+            conflicts
+        in
+        ( group,
+          (Cex.Lookahead_path.find_all lalr ~conflict_state:state ~reduce_item
+             ~terminals)
+            .Cex.Lookahead_path.paths ))
+      groups
+  in
+  List.iter
+    (fun (c : Conflict.t) ->
+      let path =
+        List.assoc_opt c.Conflict.terminal (List.assoc (group_of c) paths)
+      in
+      add_conflict buf g lalr ~max_configs ~path c)
+    conflicts
 
 let summary ?(max_configs = default_max_configs) () =
   let buf = Buffer.create (1 lsl 16) in

@@ -183,6 +183,58 @@ let test_memo_warm_reanalysis () =
   Alcotest.(check (list string))
     "identical conflict reports (zero-floated)" (zeroed r1) (zeroed r2)
 
+(* One path search per (conflict state, reduce item) group, whichever
+   domain runs it: stackovf10's 20 conflicts fall into 5 groups, so the
+   path_search stage records 5 spans at jobs 1 and 2, with the same pops
+   and relaxations and the same outcomes. *)
+let test_group_metrics_jobs_invariant () =
+  let g = Corpus.grammar (Corpus.find "stackovf10") in
+  let run jobs =
+    let session = Cex_session.Session.create g in
+    let r = Cex.Driver.analyze_session ~jobs session in
+    let m = List.assoc "path_search" (Cex_session.Session.metrics session) in
+    let counter name = List.assoc name m.Cex_session.Trace.counters in
+    ( m.Cex_session.Trace.spans,
+      counter "pops",
+      counter "relaxations",
+      List.map Cex_service.Json_report.outcome_string (outcomes r) )
+  in
+  let spans1, pops1, relax1, outcomes1 = run 1 in
+  let spans2, pops2, relax2, outcomes2 = run 2 in
+  Alcotest.(check int) "5 group searches at jobs 1" 5 spans1;
+  Alcotest.(check int) "5 group searches at jobs 2" 5 spans2;
+  Alcotest.(check int) "pops" pops1 pops2;
+  Alcotest.(check int) "relaxations" relax1 relax2;
+  Alcotest.(check (list string)) "outcomes" outcomes1 outcomes2
+
+(* A skipped conflict's nonunifying counterexample comes from its group's
+   memoized path when one is installed, and is the one a fresh search
+   gives. *)
+let test_skipped_reuses_memo () =
+  let g = Corpus.grammar (Corpus.find "stackovf10") in
+  let session = Cex_session.Session.create g in
+  ignore (Cex.Driver.analyze_session session);
+  let skipped =
+    Cex.Driver.analyze_session
+      ~options:
+        { Cex.Driver.default_options with Cex.Driver.cumulative_timeout = 0.0 }
+      session
+  in
+  let lalr = Cex_session.Session.lalr session in
+  List.iter
+    (fun cr ->
+      Alcotest.(check string) "skipped" "skipped_search"
+        (Cex_service.Json_report.outcome_string cr.Cex.Driver.outcome);
+      match
+        cr.Cex.Driver.counterexample,
+        Cex.Nonunifying.construct lalr cr.Cex.Driver.conflict
+      with
+      | Some (Cex.Driver.Nonunifying nu), Some fresh ->
+        Alcotest.(check bool) "same nonunifying counterexample" true
+          (Test_lookahead_path.nonunifying_equal nu fresh)
+      | _ -> Alcotest.fail "expected a nonunifying counterexample")
+    skipped.Cex.Driver.conflict_reports
+
 (* Grammar with no conflicts: an empty, instant report. *)
 let test_no_conflicts () =
   let g = Spec_parser.grammar_of_string_exn "s : A s B | C ;" in
@@ -205,4 +257,8 @@ let suite =
         test_budget_expires_mid_run;
       Alcotest.test_case "memo-warm-reanalysis" `Quick
         test_memo_warm_reanalysis;
+      Alcotest.test_case "group-metrics-jobs-invariant" `Quick
+        test_group_metrics_jobs_invariant;
+      Alcotest.test_case "skipped-reuses-memo" `Quick
+        test_skipped_reuses_memo;
       Alcotest.test_case "no-conflicts" `Quick test_no_conflicts ] )
