@@ -478,7 +478,7 @@ let stage_median doc stage =
           | _ -> None))
 
 let stage_names =
-  [ "table_build"; "path_search"; "product.search"; "srwalk.search" ]
+  [ "table_build"; "path_search"; "product.search" ]
 
 (* ------------------------------------------------------------------ *)
 (* The conflict-level fan-out: end-to-end corpus wall time and the
@@ -694,52 +694,6 @@ let json_bench ~out ~baseline =
       in
       ignore (Cex.Driver.analyze_session ~options session))
     (Corpus.all ());
-  (* A second corpus pass under the SR-automaton walk. Only its namespaced
-     stages are recorded — the shared stages (table build, path search,
-     classification) already have their samples from the product pass and
-     would be double-counted otherwise. *)
-  let srwalk_sink =
-    Cex_session.Trace.make
-      ~on_span:(fun stage seconds ->
-        if String.starts_with ~prefix:"srwalk." stage then
-          record stage (seconds *. 1000.0))
-      ~on_count:(fun _ _ _ -> ())
-  in
-  let srwalk_options = { options with Cex.Driver.engine = Cex.Driver.Srwalk } in
-  List.iter
-    (fun entry ->
-      let session =
-        Cex_session.Session.create ~trace:srwalk_sink (Corpus.grammar entry)
-      in
-      ignore (Cex.Driver.analyze_session ~options:srwalk_options session))
-    (Corpus.all ());
-  (* A race pass: both engines per conflict on the worker pool under one
-     budget. Wall time plus the adjudication counters — with two mirrored
-     engines every race should be an agreed tie awarded to product. *)
-  let race_counters : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let race_sink =
-    Cex_session.Trace.make
-      ~on_span:(fun _ _ -> ())
-      ~on_count:(fun stage counter n ->
-        if stage = "race" then
-          Hashtbl.replace race_counters counter
-            (n + Option.value ~default:0 (Hashtbl.find_opt race_counters counter)))
-  in
-  let race_options = { options with Cex.Driver.engine = Cex.Driver.Race } in
-  let race_wall_ms =
-    let t0 = Cex_session.Clock.now Cex_session.Clock.system in
-    List.iter
-      (fun entry ->
-        let session =
-          Cex_session.Session.create ~trace:race_sink (Corpus.grammar entry)
-        in
-        ignore (Cex.Driver.analyze_session ~options:race_options session))
-      (Corpus.all ());
-    (Cex_session.Clock.now Cex_session.Clock.system -. t0) *. 1000.0
-  in
-  let race_counter name =
-    Option.value ~default:0 (Hashtbl.find_opt race_counters name)
-  in
   let stage_samples stage =
     match Hashtbl.find_opt samples stage with Some r -> !r | None -> []
   in
@@ -764,15 +718,6 @@ let json_bench ~out ~baseline =
             (List.map
                (fun stage -> (stage, stage_json (stage_samples stage)))
                recorded) );
-        ( "race",
-          Cex_service.Json.Obj
-            [ ("corpus_wall_ms", Cex_service.Json.Float race_wall_ms);
-              ("agreed", Cex_service.Json.Int (race_counter "agreed"));
-              ("disagreed", Cex_service.Json.Int (race_counter "disagreed"));
-              ( "winner_product",
-                Cex_service.Json.Int (race_counter "winner_product") );
-              ( "winner_srwalk",
-                Cex_service.Json.Int (race_counter "winner_srwalk") ) ] );
         ("parallel", parallel_json par);
         ("serve", serve_json serve);
         ("stress", stress_json stress) ]
@@ -781,15 +726,10 @@ let json_bench ~out ~baseline =
       output_string oc (Cex_service.Json.to_string doc);
       output_char oc '\n');
   Fmt.pr "per-stage medians (ms): table_build %.3f, path_search %.3f, \
-          product.search %.3f, srwalk.search %.3f@."
+          product.search %.3f@."
     (median (stage_samples "table_build"))
     (median (stage_samples "path_search"))
-    (median (stage_samples "product.search"))
-    (median (stage_samples "srwalk.search"));
-  Fmt.pr "race: corpus wall %.1f ms, agreed %d, disagreed %d, winners \
-          product %d / srwalk %d@."
-    race_wall_ms (race_counter "agreed") (race_counter "disagreed")
-    (race_counter "winner_product") (race_counter "winner_srwalk");
+    (median (stage_samples "product.search"));
   Fmt.pr "corpus wall (ms): jobs 1 %.1f, jobs %d %.1f; Java.5 (ms): jobs 1 \
           %.1f, jobs %d %.1f@."
     par.corpus_wall_seq_ms conflict_jobs par.corpus_wall_par_ms

@@ -12,13 +12,6 @@ let load_grammar path =
   | exception Sys_error msg -> Error msg
   | source -> Cfg.Spec_parser.grammar_of_string source
 
-let make_options timeout cumulative extended engine =
-  { Cex.Driver.default_options with
-    Cex.Driver.per_conflict_timeout = timeout;
-    cumulative_timeout = cumulative;
-    extended;
-    engine }
-
 (* ------------------------------------------------------------------ *)
 (* The one-grammar command (the original behavior, plus --jobs/--json). *)
 
@@ -48,31 +41,19 @@ let pp_trace_section ppf metrics =
   if metrics <> [] then
     Fmt.pf ppf "@.[trace]@.%a" Cex_session.Trace.pp_metrics metrics
 
-let run path timeout cumulative extended engine jobs conflict_jobs json trace
-    lint lint_error validate show_states show_naive classify_lr1
-    show_resolved =
+let run path options jobs json trace lint lint_error validate show_states
+    show_naive classify_lr1 show_resolved =
   match load_grammar path with
   | Error msg ->
     Fmt.epr "error: %s@." msg;
     1
   | Ok g ->
-    let options = make_options timeout cumulative extended engine in
     let session = Cex_session.Session.create g in
     let table = Cex_session.Session.table session in
     let diagnostics =
       if lint || lint_error then Some (Cex_lint.Lint.run table) else None
     in
-    (* Conflict-level fan-out: --conflict-jobs wins; otherwise inherit
-       --jobs; otherwise the whole machine. Reports are byte-identical at
-       any value, so auto is safe. *)
-    let conflict_jobs =
-      if conflict_jobs > 0 then conflict_jobs
-      else if jobs > 1 then jobs
-      else Cex_session.Pool.default_jobs ()
-    in
-    let report =
-      Cex.Driver.analyze_session ~options ~jobs:conflict_jobs session
-    in
+    let report = Cex.Driver.analyze_session ~options ~jobs session in
     let report =
       if validate then
         Cex_validate.Oracle.validate_report
@@ -248,9 +229,8 @@ let run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
   else if lint_error && !lint_failed then 3
   else 0
 
-let run_batch paths use_corpus stress timeout cumulative extended engine jobs
-    json trace lint lint_error validate cache_size repeat stream window
-    shard_spec =
+let run_batch paths use_corpus stress options jobs json trace lint lint_error
+    validate cache_size repeat stream window shard_spec =
   match
     ( load_batch_entries paths use_corpus,
       parse_shard shard_spec )
@@ -267,7 +247,6 @@ let run_batch paths use_corpus stress timeout cumulative extended engine jobs
       Seq.append (List.to_seq listed)
         (if stress > 0 then Corpus.Stress.seq stress else Seq.empty)
     in
-    let options = make_options timeout cumulative extended engine in
     let service =
       Cex_service.Scheduler.create ~options ~jobs ~cache_capacity:cache_size ()
     in
@@ -371,8 +350,7 @@ let run_batch paths use_corpus stress timeout cumulative extended engine jobs
    when conflicts exist — its verdict is about the counterexamples, not the
    grammar — and 4 as soon as one fails the oracle (the CI hard gate). *)
 
-let run_validate paths use_corpus timeout cumulative extended engine jobs json
-    =
+let run_validate paths use_corpus options jobs json =
   match load_batch_entries paths use_corpus with
   | Error msg ->
     Fmt.epr "error: %s@." msg;
@@ -381,7 +359,6 @@ let run_validate paths use_corpus timeout cumulative extended engine jobs json
     Fmt.epr "error: no grammars to validate (pass files or --corpus)@.";
     1
   | Ok entries ->
-    let options = make_options timeout cumulative extended engine in
     let service = Cex_service.Scheduler.create ~options ~jobs () in
     let results, stats = Cex_service.Scheduler.analyze_batch service entries in
     let results = List.map validate_batch_result results in
@@ -524,14 +501,12 @@ let parse_endpoint socket tcp =
   | Some _, Some _ -> Error "--socket and --tcp are mutually exclusive"
   | None, None -> Error "one of --socket PATH or --tcp HOST:PORT is required"
 
-let run_serve socket tcp timeout cumulative extended engine jobs cache_size
-    cache_shards queue_limit =
+let run_serve socket tcp options jobs cache_size cache_shards queue_limit =
   match parse_endpoint socket tcp with
   | Error msg ->
     Fmt.epr "error: %s@." msg;
     1
   | Ok endpoint -> (
-    let options = make_options timeout cumulative extended engine in
     let server =
       Cex_serve.Server.create ~options ~jobs ~cache_capacity:cache_size
         ~cache_shards ~queue_limit ()
@@ -625,56 +600,48 @@ let run_client socket tcp script zero_floats =
 
 open Cmdliner
 
-let timeout_arg =
-  Arg.(
-    value & opt float 5.0
-    & info [ "timeout" ]
-        ~doc:"Per-conflict time limit (seconds) for the unifying search.")
+(* The search options of analyze, batch, validate and serve. *)
+let options_term =
+  let defaults = Cex.Driver.default_options in
+  let timeout =
+    Arg.(
+      value
+      & opt float defaults.Cex.Driver.per_conflict_timeout
+      & info [ "timeout" ]
+          ~doc:"Per-conflict time limit (seconds) for the unifying search.")
+  in
+  let cumulative =
+    Arg.(
+      value
+      & opt float defaults.Cex.Driver.cumulative_timeout
+      & info [ "cumulative-timeout" ]
+          ~doc:"Cumulative budget (seconds) after which only nonunifying \
+                counterexamples are constructed. Applies per grammar.")
+  in
+  let extended =
+    Arg.(
+      value & flag
+      & info [ "extended-search" ]
+          ~doc:"Lift the shortest-path restriction (slower, more complete).")
+  in
+  Term.(
+    const (fun per_conflict_timeout cumulative_timeout extended ->
+        { defaults with
+          Cex.Driver.per_conflict_timeout;
+          cumulative_timeout;
+          extended })
+    $ timeout $ cumulative $ extended)
 
-let cumulative_arg =
-  Arg.(
-    value & opt float 120.0
-    & info [ "cumulative-timeout" ]
-        ~doc:"Cumulative budget (seconds) after which only nonunifying \
-              counterexamples are constructed. Applies per grammar.")
-
-let extended_arg =
-  Arg.(
-    value & flag
-    & info [ "extended-search" ]
-        ~doc:"Lift the shortest-path restriction (slower, more complete).")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("product", Cex.Driver.Product);
-             ("srwalk", Cex.Driver.Srwalk);
-             ("race", Cex.Driver.Race) ])
-        Cex.Driver.Product
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Unifying-counterexample engine: $(b,product) (the paper's \
-              product-parser search), $(b,srwalk) (the SR-automaton walk), \
-              or $(b,race) (run both per conflict on the worker pool under \
-              one budget and keep the deterministically adjudicated winner; \
-              each JSON conflict records the winning engine).")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Analyze conflicts on $(docv) worker domains in parallel.")
-
-let conflict_jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "conflict-jobs" ] ~docv:"N"
-        ~doc:"Fan the conflicts of one grammar across $(docv) worker \
-              domains (the intra-grammar level of the two-level scheduler; \
-              reports are byte-identical at any value). 0 (the default) \
-              picks automatically: $(b,--jobs) if given, otherwise every \
-              core.")
+(* An explicit [-j N] is honoured for every N, 1 included; without it each
+   command takes its own [default]. *)
+let jobs_arg ~default ~absent =
+  Term.(
+    const (Option.value ~default)
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "j"; "jobs" ] ~docv:"N" ~absent
+            ~doc:"Analyze conflicts on $(docv) worker domains in parallel."))
 
 let json_arg =
   Arg.(
@@ -746,11 +713,11 @@ let analyze_term =
                 show the ambiguity each one silently settles.")
   in
   Term.(
-    const run $ path_arg $ timeout_arg $ cumulative_arg $ extended_arg
-    $ engine_arg $ jobs_arg $ conflict_jobs_arg $ json_arg $ trace_arg
-    $ lint_arg
-    $ lint_error_arg $ validate_arg $ states_arg $ naive_arg $ lr1_arg
-    $ resolved_arg)
+    const run $ path_arg $ options_term
+    $ jobs_arg ~default:(Cex_session.Pool.default_jobs ())
+        ~absent:"every core"
+    $ json_arg $ trace_arg $ lint_arg $ lint_error_arg $ validate_arg
+    $ states_arg $ naive_arg $ lr1_arg $ resolved_arg)
 
 let analyze_cmd =
   Cmd.v
@@ -829,10 +796,10 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch" ~doc)
     Term.(
-      const run_batch $ paths_arg $ corpus_arg $ stress_arg $ timeout_arg
-      $ cumulative_arg $ extended_arg $ engine_arg $ jobs_arg $ json_arg
-      $ trace_arg $ lint_arg $ lint_error_arg $ validate_arg $ cache_arg
-      $ repeat_arg $ stream_arg $ window_arg $ shard_arg)
+      const run_batch $ paths_arg $ corpus_arg $ stress_arg $ options_term
+      $ jobs_arg ~default:1 ~absent:"1" $ json_arg $ trace_arg $ lint_arg
+      $ lint_error_arg $ validate_arg $ cache_arg $ repeat_arg $ stream_arg
+      $ window_arg $ shard_arg)
 
 let validate_cmd =
   let paths_arg =
@@ -856,8 +823,8 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate" ~doc)
     Term.(
-      const run_validate $ paths_arg $ corpus_arg $ timeout_arg
-      $ cumulative_arg $ extended_arg $ engine_arg $ jobs_arg $ json_arg)
+      const run_validate $ paths_arg $ corpus_arg $ options_term
+      $ jobs_arg ~default:1 ~absent:"1" $ json_arg)
 
 let lint_cmd =
   let paths_arg =
@@ -942,9 +909,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run_serve $ socket_arg $ tcp_arg $ timeout_arg $ cumulative_arg
-      $ extended_arg $ engine_arg $ jobs_arg $ cache_arg $ shards_arg
-      $ queue_arg)
+      const run_serve $ socket_arg $ tcp_arg $ options_term
+      $ jobs_arg ~default:1 ~absent:"1" $ cache_arg $ shards_arg $ queue_arg)
 
 let client_cmd =
   let script_arg =

@@ -6,26 +6,12 @@ module Deadline = Cex_session.Deadline
 module Trace = Cex_session.Trace
 module Pool = Cex_session.Pool
 
-type engine = Product | Srwalk | Race
-
-let engine_of_string = function
-  | "product" -> Some Product
-  | "srwalk" -> Some Srwalk
-  | "race" -> Some Race
-  | _ -> None
-
-let engine_to_string = function
-  | Product -> "product"
-  | Srwalk -> "srwalk"
-  | Race -> "race"
-
 type options = {
   per_conflict_timeout : float;
   cumulative_timeout : float;
   extended : bool;
   costs : Product_search.costs;
   max_configs : int;
-  engine : engine;
 }
 
 let default_options =
@@ -33,18 +19,7 @@ let default_options =
     cumulative_timeout = 120.0;
     extended = false;
     costs = Product_search.default_costs;
-    max_configs = 400_000;
-    engine = Product }
-
-(* The walk takes the same cost knobs under its own vocabulary, so the CLI's
-   cost options steer both engines identically. *)
-let walk_costs (c : Product_search.costs) : Cex_srwalk.Walk.costs =
-  { Cex_srwalk.Walk.step = c.Product_search.transition;
-    rstep = c.Product_search.reverse_transition;
-    expand = c.Product_search.production_step;
-    re_expand = c.Product_search.duplicate_production;
-    reduce = c.Product_search.reduction;
-    detour = c.Product_search.off_path }
+    max_configs = 400_000 }
 
 type outcome =
   | Found_unifying
@@ -71,7 +46,6 @@ type conflict_report = {
   configs_explored : int;
   failure : string option;
   validation : validation;
-  engine : string;  (* "product" or "srwalk"; in race mode, the winner *)
 }
 
 type report = {
@@ -219,22 +193,22 @@ let find_path ~per_conflict session trace conflict =
     emit ();
     List.assoc_opt terminal group.Lookahead_path.paths
 
-(* One engine's analysis of one conflict. Engine-specific spans and counters
-   go through a prefixed sink (["product."] / ["srwalk."], satellite of the
-   bench JSON: per-engine medians must not collide); the shared ["path_search"]
-   memo stage stays unprefixed — both engines reuse the same installed
-   paths. *)
-let analyze_conflict_with ?(options = default_options) ?(skip_search = false)
-    ?(deadline = Deadline.never) ?trace session conflict
-    (which : [ `Product | `Srwalk ]) =
+(* A structured stand-in for a conflict whose search crashed. *)
+let crashed_conflict_report session conflict exn backtrace =
+  { conflict;
+    classification = Session.classification session conflict;
+    counterexample = None;
+    outcome = Search_crashed;
+    elapsed = 0.0;
+    configs_explored = 0;
+    failure =
+      Some
+        (if backtrace = "" then Printexc.to_string exn
+         else Printexc.to_string exn ^ "\n" ^ backtrace);
+    validation = Not_validated }
+
+let search_conflict ~options ~deadline ~trace session conflict =
   let clock = Session.clock session in
-  let trace =
-    match trace with Some sink -> sink | None -> Session.trace session
-  in
-  let engine_name =
-    match which with `Product -> "product" | `Srwalk -> "srwalk"
-  in
-  let etrace = Trace.prefixed (engine_name ^ ".") trace in
   let lalr = Session.lalr session in
   let started = Clock.now clock in
   (* Static conflict classification (the lint engine's pattern match) rides
@@ -248,195 +222,60 @@ let analyze_conflict_with ?(options = default_options) ?(skip_search = false)
   let per_conflict, budget_exhausted =
     Deadline.clamp deadline ~clock ~seconds:options.per_conflict_timeout
   in
-  let finish report =
+  let finish counterexample outcome configs_explored =
     let elapsed = Clock.now clock -. started in
     Deadline.consume deadline elapsed;
-    { report with elapsed }
+    { conflict; classification; counterexample; outcome; elapsed;
+      configs_explored; failure = None; validation = Not_validated }
   in
   let fallback ?path outcome configs =
     let counterexample =
-      Trace.timed etrace clock "nonunifying" (fun () ->
+      Trace.timed trace clock "product.nonunifying" (fun () ->
           match Nonunifying.construct ?path lalr conflict with
           | Some nu -> Some (Nonunifying nu)
           | None -> None)
     in
-    finish
-      { conflict; classification; counterexample; outcome; elapsed = 0.0;
-        configs_explored = configs; failure = None;
-        validation = Not_validated; engine = engine_name }
-  in
-  let found u configs =
-    finish
-      { conflict;
-        classification;
-        counterexample = Some (Unifying u);
-        outcome = Found_unifying;
-        elapsed = 0.0;
-        configs_explored = configs;
-        failure = None;
-        validation = Not_validated;
-        engine = engine_name }
+    finish counterexample outcome configs
   in
   (* Without a path of its own, the nonunifying fallback takes the group's
      memoized one when another conflict installed it. *)
-  if skip_search || budget_exhausted then
+  if budget_exhausted then
     fallback ?path:(memoized_path session conflict) Skipped_search 0
   else
-    let path = find_path ~per_conflict session trace conflict in
-    match path with
+    match find_path ~per_conflict session trace conflict with
     | None -> fallback ?path:(memoized_path session conflict) Search_timeout 0
     | Some path -> (
       let path_states = Lookahead_path.states_on_path path in
-      match which with
-      | `Product -> (
-        let shared = shared_ctx session in
-        match
-          Trace.timed_alloc etrace clock "search" (fun () ->
-              Product_search.search ~costs:options.costs
-                ~extended:options.extended ~deadline:per_conflict
-                ~trace:etrace ~max_configs:options.max_configs ~shared lalr
-                ~conflict ~path_states)
-        with
-        | Product_search.Unifying (u, stats) ->
-          found u stats.Product_search.configs_explored
-        | Product_search.Timeout stats ->
-          fallback ~path Search_timeout stats.Product_search.configs_explored
-        | Product_search.Exhausted stats ->
-          fallback ~path No_unifying_exists
-            stats.Product_search.configs_explored)
-      | `Srwalk -> (
-        let sr = Cex_srwalk.Sr_automaton.of_session session in
-        match
-          Trace.timed_alloc etrace clock "search" (fun () ->
-              Cex_srwalk.Walk.search ~costs:(walk_costs options.costs)
-                ~extended:options.extended ~deadline:per_conflict
-                ~trace:etrace ~max_nodes:options.max_configs sr ~conflict
-                ~path_states)
-        with
-        | Cex_srwalk.Walk.Ambiguous (a, stats) ->
-          (* Translate the walk's witness into the product search's
-             counterexample type: field-for-field the same shape, so the
-             oracle and every report layer validate it unchanged. *)
-          found
-            { Product_search.nonterminal = a.Cex_srwalk.Walk.nonterminal;
-              form = a.Cex_srwalk.Walk.sentential_form;
-              deriv1 = a.Cex_srwalk.Walk.deriv1;
-              deriv2 = a.Cex_srwalk.Walk.deriv2 }
-            stats.Cex_srwalk.Walk.nodes_explored
-        | Cex_srwalk.Walk.Timeout stats ->
-          fallback ~path Search_timeout stats.Cex_srwalk.Walk.nodes_explored
-        | Cex_srwalk.Walk.Exhausted stats ->
-          fallback ~path No_unifying_exists
-            stats.Cex_srwalk.Walk.nodes_explored))
+      let shared = shared_ctx session in
+      match
+        Trace.timed_alloc trace clock "product.search" (fun () ->
+            Product_search.search ~costs:options.costs
+              ~extended:options.extended ~deadline:per_conflict ~trace
+              ~max_configs:options.max_configs ~shared lalr ~conflict
+              ~path_states)
+      with
+      | Product_search.Unifying (u, stats) ->
+        finish (Some (Unifying u)) Found_unifying
+          stats.Product_search.configs_explored
+      | Product_search.Timeout stats ->
+        fallback ~path Search_timeout stats.Product_search.configs_explored
+      | Product_search.Exhausted stats ->
+        fallback ~path No_unifying_exists
+          stats.Product_search.configs_explored)
 
-(* ------------------------------------------------------------------ *)
-(* Race adjudication. Both engines analyzed the conflict under the shared
-   budget; pick one report deterministically — never by wall-clock arrival,
-   which would break the byte-identical-at-any-jobs invariant:
-
-   - a decided report (unifying found / exhaustion proven) whose
-     counterexample passes the in-driver structural check beats an
-     undecided one;
-   - both decided and agreeing: the cheaper engine (fewer explored
-     configurations) wins, ties to product;
-   - both decided but disagreeing — one engine's bug, by construction —
-     the validated witness beats the exhaustion claim, and the ["race"]
-     stage's [disagreed] counter records the event for the fuzzer and CI.
-
-   The full Earley oracle still runs downstream ([lib/validate]); the
-   structural check here is the driver-local subset (well-formed
-   derivations, same root, same frontier) that needs no oracle
-   dependency. *)
-
-let structurally_valid g (u : Product_search.unifying) =
-  let root_ok d =
-    match Cfg.Derivation.root_symbol d with
-    | Cfg.Symbol.Nonterminal nt -> nt = u.Product_search.nonterminal
-    | Cfg.Symbol.Terminal _ -> false
-  in
-  Cfg.Derivation.validate g u.Product_search.deriv1
-  && Cfg.Derivation.validate g u.Product_search.deriv2
-  && root_ok u.Product_search.deriv1
-  && root_ok u.Product_search.deriv2
-  && (not
-        (Cfg.Derivation.equal u.Product_search.deriv1 u.Product_search.deriv2))
-  && List.equal Cfg.Symbol.equal
-       (Cfg.Derivation.leaves u.Product_search.deriv1)
-       (Cfg.Derivation.leaves u.Product_search.deriv2)
-
-let report_structurally_valid g r =
-  match r.counterexample with
-  | Some (Unifying u) -> structurally_valid g u
-  | Some (Nonunifying _) | None -> true
-
-let decided r =
-  match r.outcome with
-  | Found_unifying | No_unifying_exists -> true
-  | Search_timeout | Skipped_search | Search_crashed -> false
-
-let adjudicate trace g rp rs =
-  let win r =
-    Trace.count trace "race" ("winner_" ^ r.engine) 1;
-    r
-  in
-  if decided rp && decided rs then
-    Trace.count trace "race"
-      (if rp.outcome = rs.outcome then "agreed" else "disagreed")
-      1;
-  let dp = decided rp && report_structurally_valid g rp in
-  let ds = decided rs && report_structurally_valid g rs in
-  if dp && ds then
-    if rp.outcome = rs.outcome then
-      match rp.outcome with
-      | Found_unifying when rs.configs_explored < rp.configs_explored ->
-        win rs
-      | _ -> win rp
-    else if rp.outcome = Found_unifying then win rp
-    else win rs
-  else if dp then win rp
-  else if ds then win rs
-  else win rp
-
-let analyze_conflict ?(options = default_options) ?skip_search ?deadline
+(* The one crash-isolation point: an exception raised while analyzing one
+   conflict becomes that conflict's [Search_crashed] report, so no caller
+   (the session fan-out, the batch scheduler, the server) loses the other
+   conflicts' results to it. *)
+let analyze_conflict ?(options = default_options) ?(deadline = Deadline.never)
     ?trace session conflict =
-  match options.engine with
-  | Product ->
-    analyze_conflict_with ~options ?skip_search ?deadline ?trace session
-      conflict `Product
-  | Srwalk ->
-    analyze_conflict_with ~options ?skip_search ?deadline ?trace session
-      conflict `Srwalk
-  | Race ->
-    let rp =
-      analyze_conflict_with ~options ?skip_search ?deadline ?trace session
-        conflict `Product
-    in
-    let rs =
-      analyze_conflict_with ~options ?skip_search ?deadline ?trace session
-        conflict `Srwalk
-    in
-    let sink =
-      match trace with Some s -> s | None -> Session.trace session
-    in
-    adjudicate sink (Session.grammar session) rp rs
-
-(* A structured stand-in for a conflict whose search crashed: the worker
-   pool converts the exception into this report instead of aborting the
-   whole batch and losing every completed result. *)
-let crashed_conflict_report ?(engine = "product") session conflict exn
-    backtrace =
-  { conflict;
-    classification = Session.classification session conflict;
-    counterexample = None;
-    outcome = Search_crashed;
-    elapsed = 0.0;
-    configs_explored = 0;
-    failure =
-      Some
-        (if backtrace = "" then Printexc.to_string exn
-         else Printexc.to_string exn ^ "\n" ^ backtrace);
-    validation = Not_validated;
-    engine }
+  let trace =
+    match trace with Some sink -> sink | None -> Session.trace session
+  in
+  try search_conflict ~options ~deadline ~trace session conflict
+  with e ->
+    let backtrace = Printexc.get_backtrace () in
+    crashed_conflict_report session conflict e backtrace
 
 let analyze_session ?(options = default_options) ?(jobs = 1) session =
   let clock = Session.clock session in
@@ -444,58 +283,33 @@ let analyze_session ?(options = default_options) ?(jobs = 1) session =
   let deadline = Deadline.budget clock options.cumulative_timeout in
   let conflicts = Array.of_list (Session.conflicts session) in
   let n = Array.length conflicts in
-  (* In race mode every conflict becomes two tasks — one per engine — on
-     the same pool under the same cumulative budget; the winners are
-     adjudicated deterministically in conflict order after the join. *)
-  let n_tasks = match options.engine with Race -> 2 * n | _ -> n in
   (* Clamp like the pool will, so the per-task collector buffering below
      is only paid when domains will actually run concurrently. *)
-  let jobs = Pool.clamp_jobs (min jobs (max 1 n_tasks)) in
-  (* One conflict (or conflict x engine) per task, results collected by
-     task index, so the report order is the automaton order regardless of
-     which domain ran what. A crash in one task degrades to a
-     [Search_crashed] report instead of poisoning the whole session. *)
-  let task trace k =
-    let conflict, which =
-      match options.engine with
-      | Race -> conflicts.(k lsr 1), (if k land 1 = 0 then `Product else `Srwalk)
-      | Product -> conflicts.(k), `Product
-      | Srwalk -> conflicts.(k), `Srwalk
-    in
-    try analyze_conflict_with ~options ~deadline ?trace session conflict which
-    with e ->
-      crashed_conflict_report
-        ~engine:(match which with `Product -> "product" | `Srwalk -> "srwalk")
-        session conflict e (Printexc.get_backtrace ())
+  let jobs = Pool.clamp_jobs (min jobs (max 1 n)) in
+  (* One conflict per task, results collected by task index, so the report
+     order is the automaton order regardless of which domain ran what. *)
+  let task ?trace k =
+    analyze_conflict ~options ~deadline ?trace session conflicts.(k)
   in
   let results =
     if jobs > 1 && Session.has_private_collector session then begin
       (* Per-task collectors, merged in task order after the join: the
          worker domains never contend on the session collector's lock, and
          the merged totals are independent of domain scheduling. *)
-      let locals = Array.init n_tasks (fun _ -> Trace.collector ()) in
+      let locals = Array.init n (fun _ -> Trace.collector ()) in
       let results =
-        Pool.run ~jobs n_tasks (fun k ->
-            task (Some (Trace.collector_sink locals.(k))) k)
+        Pool.run ~jobs n (fun k ->
+            task ~trace:(Trace.collector_sink locals.(k)) k)
       in
       Array.iter
         (fun local -> Session.absorb_metrics session (Trace.metrics local))
         locals;
       results
     end
-    else Pool.run ~jobs n_tasks (task None)
-  in
-  let conflict_reports =
-    match options.engine with
-    | Product | Srwalk -> Array.to_list results
-    | Race ->
-      let sink = Session.trace session in
-      let g = Session.grammar session in
-      List.init n (fun i ->
-          adjudicate sink g results.(2 * i) results.((2 * i) + 1))
+    else Pool.run ~jobs n (fun k -> task k)
   in
   { table = Session.table session;
-    conflict_reports;
+    conflict_reports = Array.to_list results;
     total_elapsed = Clock.now clock -. started;
     metrics = Session.metrics session }
 

@@ -16,28 +16,12 @@
 
 open Automaton
 
-(** Which unifying-counterexample engine analyzes each conflict:
-
-    - [Product]: the paper's product-parser search ({!Product_search});
-    - [Srwalk]: the SR-automaton walk ({!Cex_srwalk.Walk}), Quaglia's
-      conflict-first traversal of structures derived from the
-      nondeterministic LR tables;
-    - [Race]: both engines run every conflict (two tasks per conflict on
-      the session pool, one shared cumulative budget) and the winner is
-      adjudicated deterministically — see {!analyze_session}. *)
-type engine = Product | Srwalk | Race
-
-val engine_of_string : string -> engine option
-val engine_to_string : engine -> string
-
 type options = {
   per_conflict_timeout : float;  (** seconds; paper default 5.0 *)
   cumulative_timeout : float;  (** seconds; paper default 120.0 *)
   extended : bool;  (** full search (the paper's [-extendedsearch]) *)
   costs : Product_search.costs;
-  max_configs : int;
-      (** explored-configuration (product) / explored-node (srwalk) budget *)
-  engine : engine;
+  max_configs : int;  (** explored-configuration budget *)
 }
 
 val default_options : options
@@ -50,9 +34,9 @@ type outcome =
   | Search_timeout  (** Table 1's "# time out" column *)
   | Skipped_search  (** cumulative budget exceeded before this conflict *)
   | Search_crashed
-      (** the search raised; the exception (with backtrace) is in
-          [failure]. Produced only by the batch scheduler's per-conflict
-          crash conversion, never by {!analyze_conflict} itself. *)
+      (** the analysis raised; the exception (with backtrace) is in
+          [failure]. {!analyze_conflict} converts the exception itself, so
+          every caller gets this report instead of the exception. *)
 
 type counterexample =
   | Unifying of Product_search.unifying
@@ -80,9 +64,6 @@ type conflict_report = {
   failure : string option;
       (** exception and backtrace, for {!Search_crashed} only *)
   validation : validation;
-  engine : string;
-      (** which engine produced this report (["product"] / ["srwalk"]);
-          under {!Race}, the adjudicated winner *)
 }
 
 type report = {
@@ -112,23 +93,11 @@ val analyze_session :
     Per-task metric collectors are merged into the session's collector in
     conflict order after the join.
 
-    Under [options.engine = Race] every conflict becomes {e two} tasks —
-    one per engine — on the same pool and budget, and the per-conflict
-    winner is adjudicated deterministically after the join (never by
-    wall-clock arrival, which would break the any-jobs determinism): a
-    structurally-valid decided report beats an undecided one; when both
-    engines decide and agree, the one that explored fewer configurations
-    wins, ties to product; a disagreement — one engine's bug — prefers the
-    validated witness and bumps the ["race"] stage's [disagreed] counter.
-    The winner's name is in each report's [engine] field and in the
-    ["race"] stage's [winner_product]/[winner_srwalk] counters.
-
     A conflict whose search raises yields a {!Search_crashed} report (at
     any jobs count) instead of aborting the session. *)
 
 val analyze_conflict :
   ?options:options ->
-  ?skip_search:bool ->
   ?deadline:Cex_session.Deadline.t ->
   ?trace:Cex_session.Trace.sink ->
   Cex_session.Session.t ->
@@ -139,18 +108,16 @@ val analyze_conflict :
     path and product searches is [deadline] clamped to
     [options.per_conflict_timeout] via {!Cex_session.Deadline.clamp}, and
     the conflict's elapsed time is {!Cex_session.Deadline.consume}d from it
-    afterwards. When the budget is already exhausted (or [skip_search] is
-    set) the path and product searches are skipped and the report falls
-    back to a nonunifying counterexample with {!Skipped_search}.
+    afterwards. When the budget is already exhausted the path and product
+    searches are skipped and the report falls back to a nonunifying
+    counterexample with {!Skipped_search}.
 
     [trace] overrides the session's sink for this conflict's spans and
-    counters (the parallel driver passes per-task collectors). Engine
-    stages are namespaced through {!Cex_session.Trace.prefixed} —
-    ["product.search"] / ["srwalk.search"] and
-    ["product.nonunifying"] / ["srwalk.nonunifying"] — and carry an
-    ["alloc_words"] counter with the [Gc.minor_words] delta of the search;
-    the shared ["path_search"] stage stays unprefixed (both engines reuse
-    the same memoized paths). Shortest paths are memoized on the session
+    counters (the parallel driver passes per-task collectors). The product
+    search emits the ["product.search"] stage, with an ["alloc_words"]
+    counter holding the [Gc.minor_words] delta of the search; the
+    nonunifying fallback emits ["product.nonunifying"], and the shortest
+    path search ["path_search"]. Shortest paths are memoized on the session
     per (conflict state, reduce item) group: one
     {!Lookahead_path.find_all} finds the paths of every terminal of the
     group's conflicts, and a memo hit emits no ["path_search"] span, so
@@ -160,21 +127,21 @@ val analyze_conflict :
     installed, and otherwise searches for the path itself, with no
     deadline.
 
-    Under [options.engine = Race] both engines run sequentially here and
-    the adjudicated winner is returned; {!analyze_session} instead fans
-    the two engines out as separate pool tasks. *)
+    An exception raised while analyzing the conflict is caught here and
+    returned as a {!Search_crashed} report built by
+    {!crashed_conflict_report}: this is the one crash-isolation point of
+    the session fan-out, the batch scheduler and the server. *)
 
 val crashed_conflict_report :
-  ?engine:string ->
   Cex_session.Session.t ->
   Conflict.t ->
   exn ->
   string ->
   conflict_report
 (** [crashed_conflict_report session conflict exn backtrace]: the
-    {!Search_crashed} report the scheduler substitutes for a conflict whose
-    worker raised, so one poisoned conflict degrades to a per-item error
-    instead of aborting the batch. *)
+    {!Search_crashed} report {!analyze_conflict} returns for a conflict
+    whose analysis raised, so one poisoned conflict degrades to a per-item
+    error instead of aborting the batch. *)
 
 val grammar : report -> Cfg.Grammar.t
 val n_unifying : report -> int

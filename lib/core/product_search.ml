@@ -820,8 +820,8 @@ let search ?(costs = default_costs) ?(extended = false)
   done;
   let pushes = scratch.pushes in
   put_scratch scratch;
-  Cex_session.Trace.count trace "search" "configs_explored" !explored;
-  Cex_session.Trace.count trace "search" "queue_pushes" pushes;
+  Cex_session.Trace.count trace "product.search" "configs_explored" !explored;
+  Cex_session.Trace.count trace "product.search" "queue_pushes" pushes;
   let stats =
     { configs_explored = !explored;
       elapsed = Cex_session.Clock.now clock -. started }

@@ -81,9 +81,7 @@ val search :
     entry and polled every {!Cex_session.Deadline.poll_interval} explored
     configurations; expiry yields {!Timeout}, exactly like exceeding
     [max_configs] (default 400k). Emits [configs_explored] and
-    [queue_pushes] counters for the ["search"] stage into [trace] — the
-    driver namespaces the sink per engine ({!Cex_session.Trace.prefixed}),
-    so the counters surface as ["product.search"].
+    [queue_pushes] counters for the ["product.search"] stage into [trace].
     [stats.elapsed] is measured on the deadline's clock (the system
     monotonic clock for {!Cex_session.Deadline.never}). [shared] (default:
     rebuilt per call) must come from {!shared_of_lalr} on the same

@@ -12,7 +12,7 @@
     conflict-heavy grammars are always represented.
 
     The generator mirrors the differential fuzzer's
-    ({!Cex_validate.Fuzz}): every nonterminal's first alternative is
+    ({!Evaluation.Fuzz}): every nonterminal's first alternative is
     all-terminal, so every nonterminal is productive by construction (the
     analysis pipeline assumes productivity). Seeds that still fail to
     elaborate (e.g. duplicate productions after generation) deterministically

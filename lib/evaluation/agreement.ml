@@ -1,93 +1,83 @@
-(* Corpus-wide product-vs-srwalk agreement check.
+(* The SR-automaton walk as a test-only reference for the product search.
 
-   Every conflict of every corpus grammar is decided twice — once by the
-   product search, once by the SR-automaton walk — under the same
-   configuration budget and no wall-clock deadline, so the comparison is
-   fully deterministic. The two engines deliberately share move semantics
-   and exploration order (see lib/srwalk/walk.mli), so any disagreement in
-   outcome category is a bug in one of the implementations. Every unifying
-   witness the walk produces is additionally re-checked by the independent
-   validation oracle. *)
+   The walk deliberately shares the product search's move semantics and
+   exploration order (see lib/srwalk/walk.mli), so on every conflict the two
+   must reach the same verdict after the same number of explored
+   configurations: any difference is a bug in one of the implementations.
+   Every unifying witness the walk produces is additionally re-checked by
+   the independent validation oracle. [compare_conflict] is the one
+   per-conflict comparison; the corpus-wide [run] and the differential
+   fuzzer both call it. Budgets are configuration counts and no wall-clock
+   deadline applies, so every comparison is deterministic. *)
 
 open Automaton
+module Walk = Cex_srwalk.Walk
+module Sr_automaton = Cex_srwalk.Sr_automaton
 
 let default_max_configs = 10_000
+
+type verdict = Unifying | Exhausted | Capped
+
+let verdict_name = function
+  | Unifying -> "unifying"
+  | Exhausted -> "exhausted"
+  | Capped -> "capped"
+
+let product_verdict = function
+  | Cex.Product_search.Unifying (_, s) ->
+    (Unifying, s.Cex.Product_search.configs_explored)
+  | Cex.Product_search.Exhausted s ->
+    (Exhausted, s.Cex.Product_search.configs_explored)
+  | Cex.Product_search.Timeout s ->
+    (Capped, s.Cex.Product_search.configs_explored)
+
+let walk_verdict = function
+  | Walk.Ambiguous (_, s) -> (Unifying, s.Walk.nodes_explored)
+  | Walk.Exhausted s -> (Exhausted, s.Walk.nodes_explored)
+  | Walk.Timeout s -> (Capped, s.Walk.nodes_explored)
+
+let compare_conflict ~max_configs sr oracle ~path_states ~product
+    (c : Conflict.t) =
+  let where =
+    Fmt.str "state %d on %s" c.Conflict.state
+      (Cfg.Grammar.terminal_name sr.Sr_automaton.g c.Conflict.terminal)
+  in
+  let walk = Walk.search ~max_nodes:max_configs sr ~conflict:c ~path_states in
+  let pv, pn = product and wv, wn = walk_verdict walk in
+  let divergence =
+    if pv = wv && pn = wn then []
+    else
+      [ Fmt.str "%s: product %s after %d configurations vs walk %s after %d \
+                 nodes"
+          where (verdict_name pv) pn (verdict_name wv) wn ]
+  in
+  let rejected =
+    match walk with
+    | Walk.Ambiguous (a, _) -> (
+      let u =
+        { Cex.Product_search.nonterminal = a.Walk.nonterminal;
+          form = a.Walk.sentential_form;
+          deriv1 = a.Walk.deriv1;
+          deriv2 = a.Walk.deriv2 }
+      in
+      match Cex_validate.Oracle.check_unifying (Lazy.force oracle) u with
+      | [] -> []
+      | codes ->
+        [ Fmt.str "%s: oracle rejects the walk's witness: %s" where
+            (String.concat ", " codes) ])
+    | Walk.Timeout _ | Walk.Exhausted _ -> []
+  in
+  divergence @ rejected
 
 type summary = {
   grammars : int;
   conflicts : int;
-  pathless : int;  (** conflicts with no lookahead-sensitive path *)
-  unifying : int;  (** conflicts both engines decided Ambiguous/Unifying *)
+  pathless : int;
+  unifying : int;
   exhausted : int;
-  capped : int;  (** conflicts where both engines hit the budget *)
-  problems : string list;  (** empty = full agreement, all witnesses valid *)
+  capped : int;
+  problems : string list;
 }
-
-let outcome_name = function
-  | `Unifying -> "unifying"
-  | `Exhausted -> "exhausted"
-  | `Capped -> "capped"
-
-let product_category = function
-  | Cex.Product_search.Unifying _ -> `Unifying
-  | Cex.Product_search.Exhausted _ -> `Exhausted
-  | Cex.Product_search.Timeout _ -> `Capped
-
-let walk_category = function
-  | Cex_srwalk.Walk.Ambiguous _ -> `Unifying
-  | Cex_srwalk.Walk.Exhausted _ -> `Exhausted
-  | Cex_srwalk.Walk.Timeout _ -> `Capped
-
-let check_conflict ~max_configs g lalr sr oracle problems counts name
-    (c : Conflict.t) =
-  let problem fmt = Fmt.kstr (fun s -> problems := s :: !problems) fmt in
-  match
-    Cex.Lookahead_path.find lalr ~conflict_state:c.Conflict.state
-      ~reduce_item:(Conflict.reduce_item c) ~terminal:c.Conflict.terminal
-  with
-  | None ->
-    let pathless, _, _, _ = counts in
-    incr pathless
-  | Some path ->
-    let path_states = Cex.Lookahead_path.states_on_path path in
-    (* No deadline on either side: outcomes must be decided by the
-       configuration budget alone, or the comparison would be flaky. *)
-    let p =
-      Cex.Product_search.search ~max_configs lalr ~conflict:c ~path_states
-    in
-    let s =
-      Cex_srwalk.Walk.search ~max_nodes:max_configs sr ~conflict:c
-        ~path_states
-    in
-    let pc = product_category p and sc = walk_category s in
-    if pc <> sc then
-      problem "%s state %d on %s: product %s vs srwalk %s" name
-        c.Conflict.state
-        (Cfg.Grammar.terminal_name g c.Conflict.terminal)
-        (outcome_name pc) (outcome_name sc)
-    else begin
-      let _, unifying, exhausted, capped = counts in
-      (match pc with
-      | `Unifying -> incr unifying
-      | `Exhausted -> incr exhausted
-      | `Capped -> incr capped);
-      match s with
-      | Cex_srwalk.Walk.Ambiguous (a, _) -> (
-        let u =
-          { Cex.Product_search.nonterminal = a.Cex_srwalk.Walk.nonterminal;
-            form = a.Cex_srwalk.Walk.sentential_form;
-            deriv1 = a.Cex_srwalk.Walk.deriv1;
-            deriv2 = a.Cex_srwalk.Walk.deriv2 }
-        in
-        match Cex_validate.Oracle.check_unifying (Lazy.force oracle) u with
-        | [] -> ()
-        | codes ->
-          problem "%s state %d on %s: oracle rejects the srwalk witness: %s"
-            name c.Conflict.state
-            (Cfg.Grammar.terminal_name g c.Conflict.terminal)
-            (String.concat ", " codes))
-      | Cex_srwalk.Walk.Timeout _ | Cex_srwalk.Walk.Exhausted _ -> ()
-    end
 
 let run ?(max_configs = default_max_configs) () =
   let problems = ref [] in
@@ -97,20 +87,37 @@ let run ?(max_configs = default_max_configs) () =
   let unifying = ref 0 in
   let exhausted = ref 0 in
   let capped = ref 0 in
-  let counts = (pathless, unifying, exhausted, capped) in
   List.iter
     (fun (entry : Corpus.entry) ->
       incr grammars;
-      let g = Corpus.grammar entry in
-      let table = Parse_table.build g in
+      let table = Parse_table.build (Corpus.grammar entry) in
       let lalr = Parse_table.lalr table in
-      let sr = Cex_srwalk.Sr_automaton.of_lalr lalr in
+      let sr = Sr_automaton.of_lalr lalr in
       let oracle = lazy (Cex_validate.Oracle.create table) in
       List.iter
-        (fun c ->
+        (fun (c : Conflict.t) ->
           incr conflicts;
-          check_conflict ~max_configs g lalr sr oracle problems counts
-            entry.Corpus.name c)
+          match
+            Cex.Lookahead_path.find lalr ~conflict_state:c.Conflict.state
+              ~reduce_item:(Conflict.reduce_item c)
+              ~terminal:c.Conflict.terminal
+          with
+          | None -> incr pathless
+          | Some path ->
+            let path_states = Cex.Lookahead_path.states_on_path path in
+            let product =
+              product_verdict
+                (Cex.Product_search.search ~max_configs lalr ~conflict:c
+                   ~path_states)
+            in
+            incr
+              (match fst product with
+              | Unifying -> unifying
+              | Exhausted -> exhausted
+              | Capped -> capped);
+            List.iter
+              (fun p -> problems := (entry.Corpus.name ^ " " ^ p) :: !problems)
+              (compare_conflict ~max_configs sr oracle ~path_states ~product c))
         (Parse_table.conflicts table))
     (Corpus.all ());
   { grammars = !grammars;

@@ -221,3 +221,4 @@ let pp_scalability ppf series =
 module Equivalence = Equivalence
 module Lint_summary = Lint_summary
 module Agreement = Agreement
+module Fuzz = Fuzz

@@ -75,5 +75,9 @@ module Equivalence : module type of Equivalence
 (** Corpus-wide lint summary (see {!Lint_summary}). *)
 module Lint_summary : module type of Lint_summary
 
-(** Corpus-wide product-vs-srwalk agreement check (see {!Agreement}). *)
+(** The SR-automaton walk as a test-only cross-check of the product search
+    (see {!Agreement}). *)
 module Agreement : module type of Agreement
+
+(** Deterministic random-grammar differential fuzzer (see {!Fuzz}). *)
+module Fuzz : module type of Fuzz

@@ -109,17 +109,9 @@ let reuse_counterexample ~oracle ~remap session (new_conflict : Conflict.t)
             elapsed = 0.0;
             configs_explored = 0;
             failure = None;
-            validation = Cex.Driver.Validated;
-            engine = base_cr.Cex.Driver.engine }
+            validation = Cex.Driver.Validated }
       | _failures -> None))
   | _ -> None
-
-(* Mirror of the scheduler's per-conflict crash isolation. *)
-let protected_conflict ~options ~deadline session conflict =
-  try Cex.Driver.analyze_conflict ~options ~deadline session conflict
-  with e ->
-    let backtrace = Printexc.get_backtrace () in
-    Cex.Driver.crashed_conflict_report session conflict e backtrace
 
 (* ------------------------------------------------------------------ *)
 
@@ -217,7 +209,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
   let fresh_crs =
     Scheduler.map ~jobs
       (fun (i, conflict) ->
-        (i, protected_conflict ~options ~deadline session conflict))
+        (i, Cex.Driver.analyze_conflict ~options ~deadline session conflict))
       fresh_jobs
   in
   let crs =

@@ -1,7 +1,7 @@
 open Cfg
 open Automaton
 
-let schema_version = 6
+let schema_version = 7
 
 let outcome_string = function
   | Cex.Driver.Found_unifying -> "found_unifying"
@@ -116,7 +116,6 @@ let conflict_to_json g (cr : Cex.Driver.conflict_report) =
       ("reduce_item", Json.String (item_string g (Conflict.reduce_item c)));
       ("other_item", Json.String (item_string g (Conflict.other_item c)));
       ("outcome", Json.String (outcome_string cr.Cex.Driver.outcome));
-      ("engine", Json.String cr.Cex.Driver.engine);
       ("elapsed", Json.Float cr.Cex.Driver.elapsed);
       ("configs_explored", Json.Int cr.Cex.Driver.configs_explored);
       ( "failure",

@@ -4,7 +4,7 @@
     Schema sketch (stable keys, see the golden tests):
 
     {v
-    { "schema_version": 5,
+    { "schema_version": 7,
       "stats": { "jobs", "grammars", "conflicts", "wall_seconds",
                  "max_queue_depth", "stages": {...},
                  "cache": { "sessions": {"hits","misses","evictions"},
@@ -19,7 +19,7 @@
           "conflicts": [
             { "state", "terminal", "kind", "classification",
               "reduce_item", "other_item",
-              "outcome", "engine", "elapsed", "configs_explored",
+              "outcome", "elapsed", "configs_explored",
               "failure": null | "<exception and backtrace>",
               "validation": null              // oracle not run
                 | { "status": "valid" }
@@ -35,7 +35,7 @@
     diagnostic object shape:
 
     {v
-    { "schema_version": 5,
+    { "schema_version": 7,
       "summary": { "grammars", "diagnostics", "errors", "warnings", "infos",
                    "conflicts", "unclassified_conflicts",
                    "codes": { "<rule-code>": count, ... } },
@@ -49,16 +49,17 @@
     v} *)
 
 val schema_version : int
-(** Version 6: cache counter objects gain ["races"] (duplicate-build
+(** Version 7: conflict objects no longer carry ["engine"]; the product
+    search is the only engine, and its stages keep the names
+    ["product.search"] and ["product.nonunifying"] in ["metrics"].
+    Version 6: cache counter objects gain ["races"] (duplicate-build
     races), stats gain ["max_live_sessions"] (peak sessions pinned by the
     windowed batch pipeline), and the streaming NDJSON records
     ({!stream_grammar_to_json}, {!stream_summary_to_json}) exist. Version
-    5: conflict objects carry ["engine"] (which search engine produced the
-    report — ["product"] or ["srwalk"]; the race winner under
-    [--engine race]), and engine stages in ["metrics"] are namespaced
-    (["product.search"], ["srwalk.search"], ["product.nonunifying"], ...).
-    Version 4 added ["failure"] and ["validation"], and split ["skipped"]
-    and ["crashed"] out of ["timeouts"]. Version 3 added per-stage
+    5 added conflict ["engine"] (the search engine that produced the
+    report) and gave engine stages in ["metrics"] their ["product."]
+    prefix. Version 4 added ["failure"] and ["validation"], and split
+    ["skipped"] and ["crashed"] out of ["timeouts"]. Version 3 added per-stage
     ["metrics"]; version 2 added conflict ["classification"], optional
     ["diagnostics"] arrays and the lint document. *)
 

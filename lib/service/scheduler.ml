@@ -26,17 +26,6 @@ let map ?(jobs = default_jobs ()) f xs =
 let search_seconds crs =
   Array.fold_left (fun t cr -> t +. cr.Cex.Driver.elapsed) 0.0 crs
 
-(* A crash while searching one conflict must not abort the pool (which
-   would lose every completed result of the batch): convert it into a
-   structured per-conflict error report. The exception text and backtrace
-   travel in the report's [failure] field, so they surface in the JSON
-   document instead of killing the process. *)
-let protected_conflict ~options ~deadline session conflict =
-  try Cex.Driver.analyze_conflict ~options ~deadline session conflict
-  with e ->
-    let backtrace = Printexc.get_backtrace () in
-    Cex.Driver.crashed_conflict_report session conflict e backtrace
-
 let analyze_session ?(options = Cex.Driver.default_options)
     ?(jobs = default_jobs ()) ?stats session =
   let n = List.length (Session.conflicts session) in
@@ -204,8 +193,10 @@ let process_window t ~stats ~emit entries =
   let crs =
     run_pool ~stats ~jobs:t.jobs (Array.length job_table) (fun i ->
         let f, conflict = Option.get job_table.(i) in
-        protected_conflict ~options:t.options ~deadline:f.deadline f.session
-          conflict)
+        (* [analyze_conflict] turns a crash into a [Search_crashed] report,
+           so one conflict cannot abort the pool and lose the batch. *)
+        Cex.Driver.analyze_conflict ~options:t.options ~deadline:f.deadline
+          f.session conflict)
   in
   Stats.add_stage stats "conflict_search" (search_seconds crs);
   (* Phase 3 (sequential): assemble each fresh report exactly once, fill

@@ -16,11 +16,6 @@ let make ~on_span ~on_count = { on_span; on_count }
 let span sink stage seconds = sink.on_span stage seconds
 let count sink stage counter n = sink.on_count stage counter n
 
-let prefixed prefix sink =
-  { on_span = (fun stage seconds -> sink.on_span (prefix ^ stage) seconds);
-    on_count =
-      (fun stage counter n -> sink.on_count (prefix ^ stage) counter n) }
-
 let timed sink clock stage f =
   let t0 = Clock.now clock in
   let r = f () in

@@ -36,13 +36,6 @@ val span : sink -> string -> float -> unit
 val count : sink -> string -> string -> int -> unit
 (** [count sink stage counter n]: add [n] to a named counter of [stage]. *)
 
-val prefixed : string -> sink -> sink
-(** [prefixed p sink]: a sink that forwards every span and counter with [p]
-    prepended to the stage name. The driver wraps the engine-specific stages
-    this way (["product."] / ["srwalk."]) so per-engine medians never collide
-    in bench JSON; engine code emits bare stage names (["search"],
-    ["nonunifying"]) and stays namespace-agnostic. *)
-
 val timed : sink -> Clock.t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk and emit its duration as a span. *)
 

@@ -1,6 +1,5 @@
 open Cfg
 open Automaton
-module Session = Cex_session.Session
 
 type t = {
   lalr : Lalr.t;
@@ -62,32 +61,6 @@ let of_lalr lalr =
     rhs_len;
     exp_prods;
     region = Lr0.forward_reach lr0 }
-
-(* Memoized per session: the build walks the whole id space and the
-   forward-reachability BFS touches every automaton edge, so it runs once
-   under the cell lock and every conflict (on any domain) reuses it. *)
-type cell = {
-  lock : Mutex.t;
-  mutable built : t option;
-}
-
-let cell_key : cell Session.Store.key = Session.Store.key ()
-
-let of_session session =
-  let cell =
-    Session.shared session cell_key (fun () ->
-        { lock = Mutex.create (); built = None })
-  in
-  Mutex.lock cell.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cell.lock)
-    (fun () ->
-      match cell.built with
-      | Some sr -> sr
-      | None ->
-        let sr = of_lalr (Session.lalr session) in
-        cell.built <- Some sr;
-        sr)
 
 let pack sr state id = (state lsl sr.kbits) lor id
 let state_of sr v = v lsr sr.kbits

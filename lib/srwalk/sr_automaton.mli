@@ -12,8 +12,8 @@
     ({!Automaton.Lr0.forward_reach}) that delimits the automaton's live
     vertices.
 
-    One structure is memoized per session ({!of_session}); every conflict
-    walked through the session shares it. *)
+    One structure is built per automaton ({!of_lalr}); every conflict
+    walked on that automaton shares it. *)
 
 open Cfg
 open Automaton
@@ -39,12 +39,7 @@ type t = private {
   region : Bytes.t;  (** forward-reachable [(state, id)] vertices *)
 }
 
-val of_session : Cex_session.Session.t -> t
-(** The session's SR-automaton, built on first use and memoized in the
-    session store (mutex-guarded, so concurrent domains share one build). *)
-
 val of_lalr : Lalr.t -> t
-(** Session-free construction for tests and tools. *)
 
 (** {2 Packed vertices} *)
 

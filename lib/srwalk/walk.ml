@@ -663,8 +663,8 @@ let search ?(costs = default_costs) ?(extended = false)
         end
     end
   done;
-  Trace.count trace "search" "nodes_explored" !explored;
-  Trace.count trace "search" "queue_pushes" !pushes;
+  Trace.count trace "srwalk.search" "nodes_explored" !explored;
+  Trace.count trace "srwalk.search" "queue_pushes" !pushes;
   let stats =
     { nodes_explored = !explored; elapsed = Clock.now clock -. started }
   in

@@ -12,12 +12,15 @@
     The move semantics, cost discipline and prunings deliberately coincide
     with [Product_search] (same admissible moves, same lookahead and FIRST
     prunings, same shortest-path restriction via [path_states], identical
-    exploration order): the two engines decide every conflict identically,
-    which is what makes their agreement a meaningful differential check of
-    two independent implementations — persistent cons-cell stacks against
-    packed arrays, a ring-bucket frontier against the Dial queue, a
-    different visited table. A divergence is a bug in one of them, caught
-    for free by the fuzzer and the corpus agreement gate. *)
+    exploration order): the two searches decide every conflict identically
+    after the same number of explored nodes, which is what makes their
+    agreement a meaningful differential check of two independent
+    implementations — persistent cons-cell stacks against packed arrays, a
+    ring-bucket frontier against the Dial queue, a different visited
+    table. The walk is a test-only reference: no [lrcex] command runs it.
+    {!Evaluation.Agreement} compares it with the product search conflict
+    by conflict, for the corpus agreement gate and the fuzzer; a
+    divergence is a bug in one of them. *)
 
 open Cfg
 open Automaton
@@ -68,6 +71,5 @@ val search :
     deadline is checked on entry and polled every
     {!Cex_session.Deadline.poll_interval} nodes; expiry or exceeding
     [max_nodes] (default 400k) yields {!Timeout}. Emits [nodes_explored]
-    and [queue_pushes] counters for the ["search"] stage into [trace] —
-    callers namespace the sink ({!Cex_session.Trace.prefixed}) to keep
-    engines apart. *)
+    and [queue_pushes] counters for the ["srwalk.search"] stage into
+    [trace]. *)

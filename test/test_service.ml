@@ -129,7 +129,9 @@ let test_scheduler_matches_driver () =
 (* A worker crash mid-search becomes a structured Search_crashed report for
    that conflict instead of killing the whole batch; the injected trace sink
    raises from inside the product search, where only a conflict analysis
-   (never session construction) can trigger it. *)
+   (never session construction) can trigger it. The conversion happens in
+   [Driver.analyze_conflict] itself, so a direct call returns the report
+   too. *)
 let test_crash_becomes_outcome () =
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
@@ -157,7 +159,15 @@ let test_crash_becomes_outcome () =
         Alcotest.(check bool) "failure names the exception" true
           (contains ~sub:"injected crash" msg)
       | None -> Alcotest.fail "crashed report carries no failure")
-    report.Cex.Driver.conflict_reports
+    report.Cex.Driver.conflict_reports;
+  let conflict = List.hd (Cex_session.Session.conflicts session) in
+  let cr = Cex.Driver.analyze_conflict session conflict in
+  Alcotest.(check bool) "a direct call returns Search_crashed" true
+    (cr.Cex.Driver.outcome = Cex.Driver.Search_crashed);
+  Alcotest.(check bool) "direct call's failure names the exception" true
+    (match cr.Cex.Driver.failure with
+    | Some msg -> contains ~sub:"injected crash" msg
+    | None -> false)
 
 let test_map_order_and_errors () =
   let doubled = Cex_service.Scheduler.map ~jobs:3 (fun x -> 2 * x)
@@ -226,7 +236,7 @@ let test_json_parser () =
 
 let golden =
   {|{
-  "schema_version": 6,
+  "schema_version": 7,
   "stats": {
     "jobs": 1,
     "grammars": 1,
@@ -318,7 +328,6 @@ let golden =
           "reduce_item": "stmt ::= IF expr THEN stmt •",
           "other_item": "stmt ::= IF expr THEN stmt • ELSE stmt",
           "outcome": "found_unifying",
-          "engine": "product",
           "elapsed": 0.0,
           "configs_explored": 135,
           "failure": null,

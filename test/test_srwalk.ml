@@ -1,67 +1,58 @@
 open Cfg
 open Cex_session
 
-(* The SR-automaton walk engine: verdict agreement with the product search,
-   deterministic deadline behaviour on a fake clock, and race-mode
-   adjudication. The corpus-wide agreement check runs both engines on all
-   800+ conflicts under a configuration budget — no wall-clock anywhere, so
-   every test here is bit-deterministic. *)
+(* The SR-automaton walk, the test-only reference for the product search:
+   witnesses on figure 1, deterministic deadline behaviour on a fake clock,
+   and the corpus-wide comparison, which walks all 800+ conflicts under a
+   configuration budget — no wall-clock anywhere, so every test here is
+   bit-deterministic. *)
 
 let feq = Alcotest.float 1e-9
 
 let figure1 () =
   Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1
 
-let outcome_name = function
-  | Cex.Driver.Found_unifying -> "found_unifying"
-  | Cex.Driver.No_unifying_exists -> "no_unifying_exists"
-  | Cex.Driver.Search_timeout -> "search_timeout"
-  | Cex.Driver.Skipped_search -> "skipped_search"
-  | Cex.Driver.Search_crashed -> "search_crashed"
-
-let analyze ~engine g =
-  let clock, _fake = Clock.fake () in
-  let session = Session.create ~clock g in
-  let options = { Cex.Driver.default_options with Cex.Driver.engine } in
-  (session, Cex.Driver.analyze_session ~options session)
+let shortest_path lalr (c : Automaton.Conflict.t) =
+  Option.get
+    (Cex.Lookahead_path.find lalr ~conflict_state:c.Automaton.Conflict.state
+       ~reduce_item:(Automaton.Conflict.reduce_item c)
+       ~terminal:c.Automaton.Conflict.terminal)
 
 (* ------------------------------------------------------------------ *)
-(* The walk as a selectable engine. *)
+(* The walk on figure 1: a witness for every conflict, each accepted by the
+   oracle, and its counters under the walk's own stage name. *)
 
 let test_srwalk_engine () =
-  let session, r = analyze ~engine:Cex.Driver.Srwalk (figure1 ()) in
-  Alcotest.(check int) "all three conflicts unifying" 3
-    (Cex.Driver.n_unifying r);
+  let table = Automaton.Parse_table.build (figure1 ()) in
+  let lalr = Automaton.Parse_table.lalr table in
+  let sr = Cex_srwalk.Sr_automaton.of_lalr lalr in
+  let oracle = Cex_validate.Oracle.create table in
+  let collector = Trace.collector () in
+  let conflicts = Automaton.Parse_table.conflicts table in
+  Alcotest.(check int) "three conflicts" 3 (List.length conflicts);
   List.iter
-    (fun (cr : Cex.Driver.conflict_report) ->
-      Alcotest.(check string) "engine recorded" "srwalk"
-        cr.Cex.Driver.engine)
-    r.Cex.Driver.conflict_reports;
-  (* The oracle must accept every walk-produced counterexample. *)
-  let oracle = Cex_validate.Oracle.of_session session in
-  let r = Cex_validate.Oracle.validate_report oracle r in
-  Alcotest.(check int) "oracle accepts every witness" 0
-    (Cex_validate.Oracle.n_invalid r);
-  (* Stage spans are namespaced by engine. *)
-  let stages = List.map fst (Session.metrics session) in
-  Alcotest.(check bool) "srwalk.search span present" true
-    (List.mem "srwalk.search" stages);
-  Alcotest.(check bool) "no product span on a srwalk run" false
-    (List.mem "product.search" stages)
-
-let test_engines_agree () =
-  let _, rp = analyze ~engine:Cex.Driver.Product (figure1 ()) in
-  let _, rs = analyze ~engine:Cex.Driver.Srwalk (figure1 ()) in
-  let verdicts r =
-    List.map
-      (fun (cr : Cex.Driver.conflict_report) ->
-        (outcome_name cr.Cex.Driver.outcome, cr.Cex.Driver.configs_explored))
-      r.Cex.Driver.conflict_reports
-  in
-  (* Same verdict AND same explored-configuration count on every conflict:
-     the walk deliberately mirrors the product search's exploration order. *)
-  Alcotest.(check (list (pair string int)))
-    "verdicts and exploration counts coincide" (verdicts rp) (verdicts rs)
+    (fun c ->
+      let path_states =
+        Cex.Lookahead_path.states_on_path (shortest_path lalr c)
+      in
+      match
+        Cex_srwalk.Walk.search ~trace:(Trace.collector_sink collector) sr
+          ~conflict:c ~path_states
+      with
+      | Cex_srwalk.Walk.Ambiguous (a, _) ->
+        let u =
+          { Cex.Product_search.nonterminal = a.Cex_srwalk.Walk.nonterminal;
+            form = a.Cex_srwalk.Walk.sentential_form;
+            deriv1 = a.Cex_srwalk.Walk.deriv1;
+            deriv2 = a.Cex_srwalk.Walk.deriv2 }
+        in
+        Alcotest.(check (list string)) "oracle accepts the witness" []
+          (Cex_validate.Oracle.check_unifying oracle u)
+      | Cex_srwalk.Walk.Timeout _ | Cex_srwalk.Walk.Exhausted _ ->
+        Alcotest.fail "every figure 1 conflict is unifying")
+    conflicts;
+  Alcotest.(check bool) "srwalk.search counters present" true
+    (List.mem_assoc "srwalk.search" (Trace.metrics collector))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic deadline expiry, as for the product search: an expired
@@ -97,53 +88,10 @@ let test_walk_entry_check () =
     Alcotest.fail "expired deadline must time out"
 
 (* ------------------------------------------------------------------ *)
-(* Race mode. *)
-
-let race_fingerprint r =
-  List.map
-    (fun (cr : Cex.Driver.conflict_report) ->
-      ( outcome_name cr.Cex.Driver.outcome,
-        cr.Cex.Driver.engine,
-        cr.Cex.Driver.configs_explored ))
-    r.Cex.Driver.conflict_reports
-
-let race_counters session =
-  match List.assoc_opt "race" (Session.metrics session) with
-  | None -> []
-  | Some m -> m.Trace.counters
-
-let test_race_determinism () =
-  let session1, r1 = analyze ~engine:Cex.Driver.Race (figure1 ()) in
-  let session2, r2 = analyze ~engine:Cex.Driver.Race (figure1 ()) in
-  Alcotest.(check (list (triple string string int)))
-    "two race runs on a fake clock are identical" (race_fingerprint r1)
-    (race_fingerprint r2);
-  Alcotest.(check (list (pair string int)))
-    "race counters identical" (race_counters session1)
-    (race_counters session2);
-  Alcotest.(check int) "all conflicts decided" 3 (Cex.Driver.n_unifying r1);
-  (* The engines mirror each other, so every race is an agreed tie and the
-     deterministic tie-break awards it to the product engine. *)
-  Alcotest.(check (option int)) "all agreed" (Some 3)
-    (List.assoc_opt "agreed" (race_counters session1));
-  Alcotest.(check (option int)) "ties go to product" (Some 3)
-    (List.assoc_opt "winner_product" (race_counters session1));
-  List.iter
-    (fun (cr : Cex.Driver.conflict_report) ->
-      Alcotest.(check string) "winning engine recorded" "product"
-        cr.Cex.Driver.engine)
-    r1.Cex.Driver.conflict_reports;
-  (* Both engines actually ran: both namespaced stages are present. *)
-  let stages = List.map fst (Session.metrics session1) in
-  Alcotest.(check bool) "product.search span present" true
-    (List.mem "product.search" stages);
-  Alcotest.(check bool) "srwalk.search span present" true
-    (List.mem "srwalk.search" stages)
-
-(* ------------------------------------------------------------------ *)
 (* Corpus-wide agreement: every conflict of every corpus grammar decided by
-   both engines under one configuration budget — same verdict everywhere,
-   and every srwalk witness passes the oracle. *)
+   the product search and the walk under one configuration budget — same
+   verdict and explored count everywhere, and every walk witness passes
+   the oracle. *)
 
 let test_corpus_agreement () =
   let s = Evaluation.Agreement.run () in
@@ -159,11 +107,7 @@ let suite =
   ( "srwalk",
     [ Alcotest.test_case "srwalk engine on figure 1" `Quick
         test_srwalk_engine;
-      Alcotest.test_case "engines agree conflict-by-conflict" `Quick
-        test_engines_agree;
       Alcotest.test_case "walk: deadline entry check" `Quick
         test_walk_entry_check;
-      Alcotest.test_case "race: deterministic on a fake clock" `Quick
-        test_race_determinism;
       Alcotest.test_case "corpus-wide agreement" `Slow
         test_corpus_agreement ] )

@@ -1,6 +1,6 @@
 open Cfg
 module Oracle = Cex_validate.Oracle
-module Fuzz = Cex_validate.Fuzz
+module Fuzz = Evaluation.Fuzz
 
 (* Budgets kept small: what matters here is the oracle's verdict, not how
    many unifying counterexamples the search finds before timing out. *)

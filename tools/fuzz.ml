@@ -9,10 +9,10 @@ let () =
   let seeds = ref 200 in
   let first = ref 1 in
   let single = ref None in
-  let engines = ref Cex_validate.Fuzz.Both in
+  let engines = ref Evaluation.Fuzz.Both in
   let set_engines = function
-    | "both" -> engines := Cex_validate.Fuzz.Both
-    | "product" -> engines := Cex_validate.Fuzz.Product_only
+    | "both" -> engines := Evaluation.Fuzz.Both
+    | "product" -> engines := Evaluation.Fuzz.Product_only
     | s -> raise (Arg.Bad ("unknown --engines value " ^ s))
   in
   let args =
@@ -20,8 +20,8 @@ let () =
       ("--first", Arg.Set_int first, "K  first seed (default 1)");
       ("--seed", Arg.Int (fun k -> single := Some k), "K  run exactly one seed");
       ( "--engines", Arg.String set_engines,
-        "E  both: cross-check product vs srwalk (default); product: product \
-         search only" ) ]
+        "E  both: cross-check the product search against the SR-automaton \
+         walk (default); product: product search only" ) ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
   let seed_list =
@@ -30,12 +30,12 @@ let () =
     | None -> List.init !seeds (fun i -> !first + i)
   in
   let config =
-    { Cex_validate.Fuzz.default_config with
-      Cex_validate.Fuzz.engines = !engines }
+    { Evaluation.Fuzz.default_config with
+      Evaluation.Fuzz.engines = !engines }
   in
-  let summary = Cex_validate.Fuzz.run ~config seed_list in
-  Format.printf "%a@." Cex_validate.Fuzz.pp_summary summary;
+  let summary = Evaluation.Fuzz.run ~config seed_list in
+  Format.printf "%a@." Evaluation.Fuzz.pp_summary summary;
   List.iter
-    (fun f -> Format.printf "%a@." Cex_validate.Fuzz.pp_failure f)
-    (List.rev summary.Cex_validate.Fuzz.failures);
-  if summary.Cex_validate.Fuzz.failures <> [] then exit 1
+    (fun f -> Format.printf "%a@." Evaluation.Fuzz.pp_failure f)
+    (List.rev summary.Evaluation.Fuzz.failures);
+  if summary.Evaluation.Fuzz.failures <> [] then exit 1
