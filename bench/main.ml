@@ -703,7 +703,8 @@ let json_bench ~out ~baseline =
   in
   let serve = serve_point () in
   let stress = stress_point () in
-  let conflict_jobs = 4 in
+  (* Four jobs asked for, labelled with the domains that ran them. *)
+  let conflict_jobs = Cex_session.Pool.clamp_jobs 4 in
   let par = parallel_point ~options ~conflict_jobs in
   let doc =
     Cex_service.Json.Obj

@@ -154,7 +154,7 @@ let find_path ~per_conflict session trace conflict =
   let search terminals =
     let local = Trace.collector () in
     let t0 = Clock.now clock in
-    let w0 = Gc.minor_words () in
+    let w0 = Trace.allocated_words () in
     let relevant =
       Session.backward_reach session ~state ~item_id:reduce_id
     in
@@ -163,7 +163,7 @@ let find_path ~per_conflict session trace conflict =
         ~trace:(Trace.collector_sink local) ~relevant lalr
         ~conflict_state:state ~reduce_item ~terminals
     in
-    let words = int_of_float (Gc.minor_words () -. w0) in
+    let words = int_of_float (Trace.allocated_words () -. w0) in
     let seconds = Clock.now clock -. t0 in
     let emit () =
       Trace.span trace "path_search" seconds;

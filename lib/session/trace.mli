@@ -39,9 +39,14 @@ val count : sink -> string -> string -> int -> unit
 val timed : sink -> Clock.t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk and emit its duration as a span. *)
 
+val allocated_words : unit -> float
+(** Words the calling domain has allocated so far, in both heaps: the
+    minor heap's, plus the blocks too long for it that went straight to the
+    major heap. *)
+
 val timed_alloc : sink -> Clock.t -> string -> (unit -> 'a) -> 'a
 (** Like {!timed}, but additionally emits an ["alloc_words"] counter with
-    the [Gc.minor_words] delta across the thunk — the measure the arena
+    the {!allocated_words} delta across the thunk — the measure the arena
     work in the searches is judged by. Reports render this counter as a
     float so [--zero-floats] normalizes it away alongside the timings. *)
 
