@@ -62,13 +62,34 @@ let prop_heap_sort =
 (* The searches moved from the persistent Pqueue to the mutable
    Bucket_queue, whose observable contract is "identical pop order". The
    equivalence golden pins that for real searches; this property pins it
-   for arbitrary interleavings of adds and pops. An operation [Some p]
-   adds (p, serial number); [None] pops from both queues and demands the
-   same (priority, value) pair. *)
+   for arbitrary interleavings of adds, pops and clears. [`Add p] adds
+   (p, serial number); [`Pop] pops from both queues and demands the same
+   (priority, value) pair; [`Clear] empties the bucket queue in place and
+   restarts the reference from empty. Occasional priorities in the
+   thousands grow the bucket array, so that a cleared queue is reused at
+   low priorities, as the per-domain scratch pools reuse theirs. *)
+let bucket_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (12, map (fun p -> `Add p) (int_bound 40));
+        (1, map (fun p -> `Add p) (int_range 1000 5000));
+        (10, return `Pop);
+        (1, return `Clear) ]
+  in
+  let print = function
+    | `Add p -> Printf.sprintf "add %d" p
+    | `Pop -> "pop"
+    | `Clear -> "clear"
+  in
+  QCheck.make
+    ~print:(QCheck.Print.list print)
+    (list_size (int_bound 120) op)
+
 let prop_bucket_matches_pqueue =
   QCheck.Test.make
     ~name:"bucket queue pops in the same order as pqueue" ~count:300
-    QCheck.(small_list (option (int_bound 40)))
+    bucket_ops
     (fun ops ->
       let bq = Cex.Bucket_queue.create () in
       let pq = ref Cex.Pqueue.empty in
@@ -76,12 +97,16 @@ let prop_bucket_matches_pqueue =
       List.for_all
         (fun op ->
           match op with
-          | Some p ->
+          | `Add p ->
             incr serial;
             Cex.Bucket_queue.add bq p !serial;
             pq := Cex.Pqueue.add !pq p !serial;
             true
-          | None -> (
+          | `Clear ->
+            Cex.Bucket_queue.clear bq;
+            pq := Cex.Pqueue.empty;
+            Cex.Bucket_queue.is_empty bq
+          | `Pop -> (
             match Cex.Pqueue.pop !pq with
             | None -> Cex.Bucket_queue.is_empty bq
             | Some (pp, pv, pq') ->
@@ -96,9 +121,9 @@ let prop_bucket_matches_pqueue =
 
 let test_bucket_empty () =
   let q = Cex.Bucket_queue.create () in
-  Cex.Bucket_queue.add q 3 "x";
+  Cex.Bucket_queue.add q 3 42;
   Alcotest.(check int) "min priority" 3 (Cex.Bucket_queue.min_priority q);
-  Alcotest.(check string) "pop" "x" (Cex.Bucket_queue.pop q);
+  Alcotest.(check int) "pop" 42 (Cex.Bucket_queue.pop q);
   Alcotest.check_raises "pop on empty"
     (Invalid_argument "Bucket_queue.pop: empty queue") (fun () ->
       ignore (Cex.Bucket_queue.pop q));
