@@ -252,12 +252,12 @@ let scheduler_bench () =
     (r, Cex_session.Clock.now Cex_session.Clock.system -. t0)
   in
   (* One warmup run so major-heap state is comparable across both runs. *)
-  ignore (Cex_service.Scheduler.analyze_session ~jobs:1 session);
+  ignore (Cex.Driver.analyze_session ~jobs:1 session);
   let sequential, t_seq =
-    time (fun () -> Cex_service.Scheduler.analyze_session ~jobs:1 session)
+    time (fun () -> Cex.Driver.analyze_session ~jobs:1 session)
   in
   let parallel, t_par =
-    time (fun () -> Cex_service.Scheduler.analyze_session ~jobs:4 session)
+    time (fun () -> Cex.Driver.analyze_session ~jobs:4 session)
   in
   let outcomes r =
     ( Cex.Driver.n_unifying r,

@@ -250,9 +250,6 @@ let run_batch paths use_corpus stress options jobs json trace lint lint_error
     let service =
       Cex_service.Scheduler.create ~options ~jobs ~cache_capacity:cache_size ()
     in
-    let window =
-      if window > 0 then window else Cex_service.Scheduler.default_window
-    in
     if stream then
       run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
         ~entries
@@ -260,7 +257,7 @@ let run_batch paths use_corpus stress options jobs json trace lint lint_error
     let entries = List.of_seq entries in
     let results = ref [] in
     let stats = ref None in
-    for _ = 1 to max 1 repeat do
+    for _ = 1 to repeat do
       let rs, st =
         Cex_service.Scheduler.analyze_batch ~window ?shard service entries
       in
@@ -606,14 +603,14 @@ let options_term =
   let timeout =
     Arg.(
       value
-      & opt float defaults.Cex.Driver.per_conflict_timeout
+      & opt Flags.seconds defaults.Cex.Driver.per_conflict_timeout
       & info [ "timeout" ]
           ~doc:"Per-conflict time limit (seconds) for the unifying search.")
   in
   let cumulative =
     Arg.(
       value
-      & opt float defaults.Cex.Driver.cumulative_timeout
+      & opt Flags.seconds defaults.Cex.Driver.cumulative_timeout
       & info [ "cumulative-timeout" ]
           ~doc:"Cumulative budget (seconds) after which only nonunifying \
                 counterexamples are constructed. Applies per grammar.")
@@ -632,25 +629,14 @@ let options_term =
           extended })
     $ timeout $ cumulative $ extended)
 
-(* An explicit [-j N] is honoured for every N >= 1, 1 included, and a
-   smaller N is a usage error; without it each command takes its own
-   [default]. *)
+(* An explicit [-j N] is honoured for every N >= 1, 1 included; without it
+   each command takes its own [default]. *)
 let jobs_arg ~default ~absent =
-  let positive =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok _ ->
-        Error (`Msg (Fmt.str "invalid value '%s', expected at least 1" s))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Fmt.int)
-  in
   Term.(
     const (Option.value ~default)
     $ Arg.(
         value
-        & opt (some positive) None
+        & opt (some Flags.count) None
         & info [ "j"; "jobs" ] ~docv:"N" ~absent
             ~doc:"Analyze conflicts on $(docv) worker domains in parallel."))
 
@@ -751,14 +737,14 @@ let batch_cmd =
   in
   let cache_arg =
     Arg.(
-      value & opt int 128
+      value & opt Flags.count 128
       & info [ "cache-size" ] ~docv:"N"
           ~doc:"Capacity (entries) of the content-addressed automaton and \
                 report caches.")
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt Flags.count 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Run the whole batch $(docv) times against one service \
                 instance (demonstrates cache hits; stats are from the last \
@@ -766,7 +752,7 @@ let batch_cmd =
   in
   let stress_arg =
     Arg.(
-      value & opt int 0
+      value & opt Flags.natural 0
       & info [ "stress" ] ~docv:"N"
           ~doc:"Also analyze the first $(docv) grammars of the generated \
                 stress tier — deterministic seeded grammars banded by size \
@@ -787,11 +773,12 @@ let batch_cmd =
   in
   let window_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt Flags.count Cex_service.Scheduler.default_window
       & info [ "window" ] ~docv:"N"
           ~doc:"In-flight window of the batch pipeline (grammars prepared \
-                and analyzed together; default 32). Per-grammar reports \
-                are byte-identical at any window size.")
+                and analyzed together). Per-grammar reports are \
+                byte-identical at any window size.")
   in
   let shard_arg =
     Arg.(
@@ -894,20 +881,20 @@ let tcp_arg =
 let serve_cmd =
   let shards_arg =
     Arg.(
-      value & opt int 4
+      value & opt Flags.count 4
       & info [ "cache-shards" ] ~docv:"N"
           ~doc:"Number of independently locked session-cache shards.")
   in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value & opt Flags.count 64
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:"Pending-request bound; beyond it requests are answered \
                 with an $(b,overloaded) error immediately.")
   in
   let cache_arg =
     Arg.(
-      value & opt int 128
+      value & opt Flags.count 128
       & info [ "cache-size" ] ~docv:"N"
           ~doc:"Total capacity (entries) of the session and report caches.")
   in

@@ -51,17 +51,17 @@ let baseline_arg =
   Arg.(value & flag & info [ "baseline" ] ~doc:"Also time the CFGAnalyzer-substitute baseline.")
 
 let timeout_arg =
-  Arg.(value & opt float 5.0 & info [ "timeout" ] ~doc:"Per-conflict limit (s).")
+  Arg.(value & opt Flags.seconds 5.0 & info [ "timeout" ] ~doc:"Per-conflict limit (s).")
 
 let cumulative_arg =
-  Arg.(value & opt float 120.0 & info [ "cumulative-timeout" ] ~doc:"Cumulative budget (s).")
+  Arg.(value & opt Flags.seconds 120.0 & info [ "cumulative-timeout" ] ~doc:"Cumulative budget (s).")
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Small budgets (1 s / 20 s) for smoke runs.")
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt Flags.count 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Compute table rows on $(docv) worker domains in parallel.")
 

@@ -193,22 +193,9 @@ let find_path ~per_conflict session trace conflict =
     emit ();
     List.assoc_opt terminal group.Lookahead_path.paths
 
-(* A structured stand-in for a conflict whose search crashed. *)
-let crashed_conflict_report session conflict exn backtrace =
-  { conflict;
-    classification = Session.classification session conflict;
-    counterexample = None;
-    outcome = Search_crashed;
-    elapsed = 0.0;
-    configs_explored = 0;
-    failure =
-      Some
-        (if backtrace = "" then Printexc.to_string exn
-         else Printexc.to_string exn ^ "\n" ^ backtrace);
-    validation = Not_validated }
-
-let search_conflict ~options ~deadline ~trace session conflict =
+let search_conflict ~options ~deadline session conflict =
   let clock = Session.clock session in
+  let trace = Session.trace session in
   let lalr = Session.lalr session in
   let started = Clock.now clock in
   (* Static conflict classification (the lint engine's pattern match) rides
@@ -268,49 +255,81 @@ let search_conflict ~options ~deadline ~trace session conflict =
    (the session fan-out, the batch scheduler, the server) loses the other
    conflicts' results to it. *)
 let analyze_conflict ?(options = default_options) ?(deadline = Deadline.never)
-    ?trace session conflict =
-  let trace =
-    match trace with Some sink -> sink | None -> Session.trace session
-  in
-  try search_conflict ~options ~deadline ~trace session conflict
+    session conflict =
+  try search_conflict ~options ~deadline session conflict
   with e ->
     let backtrace = Printexc.get_backtrace () in
-    crashed_conflict_report session conflict e backtrace
+    { conflict;
+      classification = Session.classification session conflict;
+      counterexample = None;
+      outcome = Search_crashed;
+      elapsed = 0.0;
+      configs_explored = 0;
+      failure =
+        Some
+          (if backtrace = "" then Printexc.to_string e
+           else Printexc.to_string e ^ "\n" ^ backtrace);
+      validation = Not_validated }
 
-let analyze_session ?(options = default_options) ?(jobs = 1) session =
-  let clock = Session.clock session in
-  let started = Clock.now clock in
-  let deadline = Deadline.budget clock options.cumulative_timeout in
-  let conflicts = Array.of_list (Session.conflicts session) in
-  let n = Array.length conflicts in
-  (* Clamp like the pool will, so the per-task collector buffering below
-     is only paid when domains will actually run concurrently. *)
-  let jobs = Pool.clamp_jobs (min jobs (max 1 n)) in
-  (* One conflict per task, results collected by task index, so the report
-     order is the automaton order regardless of which domain ran what. *)
-  let task ?trace k =
-    analyze_conflict ~options ~deadline ?trace session conflicts.(k)
+type pending = {
+  session : Session.t;
+  spent : float;
+  held : conflict_report option array;
+}
+
+let analyze_sessions ?(options = default_options) ?(jobs = 1) pending =
+  let conflicts =
+    Array.map (fun p -> Array.of_list (Session.conflicts p.session)) pending
   in
-  let results =
-    if jobs > 1 && Session.has_private_collector session then begin
-      (* Per-task collectors, merged in task order after the join: the
-         worker domains never contend on the session collector's lock, and
-         the merged totals are independent of domain scheduling. *)
-      let locals = Array.init n (fun _ -> Trace.collector ()) in
-      let results =
-        Pool.run ~jobs n (fun k ->
-            task ~trace:(Trace.collector_sink locals.(k)) k)
-      in
-      Array.iter
-        (fun local -> Session.absorb_metrics session (Trace.metrics local))
-        locals;
-      results
-    end
-    else Pool.run ~jobs n (fun k -> task k)
+  let slots =
+    Array.mapi
+      (fun i p ->
+        if Array.length p.held = 0 then
+          Array.make (Array.length conflicts.(i)) None
+        else Array.copy p.held)
+      pending
   in
-  { table = Session.table session;
-    conflict_reports = Array.to_list results;
-    total_elapsed = Clock.now clock -. started;
-    metrics = Session.metrics session }
+  let budgets =
+    Array.map
+      (fun p ->
+        Deadline.budget (Session.clock p.session) options.cumulative_timeout)
+      pending
+  in
+  (* One task per empty slot, session by session and in conflict order, so
+     each session's conflicts draw on its budget in conflict order at
+     jobs 1. *)
+  let tasks = ref [] in
+  Array.iteri
+    (fun i slot ->
+      Array.iteri
+        (fun k cr -> if Option.is_none cr then tasks := (i, k) :: !tasks)
+        slot)
+    slots;
+  let tasks = Array.of_list (List.rev !tasks) in
+  let searched =
+    Pool.run ~jobs (Array.length tasks) (fun t ->
+        let i, k = tasks.(t) in
+        analyze_conflict ~options ~deadline:budgets.(i) pending.(i).session
+          conflicts.(i).(k))
+  in
+  Array.iteri
+    (fun t cr ->
+      let i, k = tasks.(t) in
+      slots.(i).(k) <- Some cr)
+    searched;
+  Array.mapi
+    (fun i p ->
+      let conflict_reports = Array.to_list (Array.map Option.get slots.(i)) in
+      { table = Session.table p.session;
+        conflict_reports;
+        total_elapsed =
+          p.spent
+          +. List.fold_left (fun t cr -> t +. cr.elapsed) 0.0 conflict_reports;
+        metrics = Session.metrics p.session })
+    pending
+
+let analyze_session ?options ?jobs session =
+  (analyze_sessions ?options ?jobs
+     [| { session; spent = 0.0; held = [||] } |]).(0)
 
 let analyze ?options ?jobs g = analyze_session ?options ?jobs (Session.create g)

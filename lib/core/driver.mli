@@ -70,6 +70,11 @@ type report = {
   table : Parse_table.t;
   conflict_reports : conflict_report list;
   total_elapsed : float;
+      (** the seconds the caller spent on the session before the fan-out
+          ({!pending.spent}: nothing for {!analyze_session}, the session
+          build in a batch), plus the budget the conflicts consumed: their
+          [elapsed], summed in conflict order. At [jobs > 1] this is search
+          time consumed, not wall time. *)
   metrics : Cex_session.Trace.metrics;
       (** per-stage spans and counters from the session's collector; empty
           when the session was created with an external trace sink *)
@@ -78,28 +83,45 @@ type report = {
 val analyze : ?options:options -> ?jobs:int -> Cfg.Grammar.t -> report
 (** [analyze g] is [analyze_session (Cex_session.Session.create g)]. *)
 
+type pending = {
+  session : Cex_session.Session.t;
+  spent : float;
+      (** seconds the caller already spent on the session, the first term
+          of {!report.total_elapsed} *)
+  held : conflict_report option array;
+      (** the reports the caller already holds, one slot per conflict of
+          the session in conflict order; [[||]] holds none. A held report
+          is returned as it is and costs no search. *)
+}
+
+val analyze_sessions :
+  ?options:options -> ?jobs:int -> pending array -> report array
+(** The one conflict fan-out of analyze, batch and serve: one report per
+    session, in input order.
+
+    Each session gets a fresh cumulative {!Cex_session.Deadline.budget} of
+    [options.cumulative_timeout] seconds of consumed search time, and each
+    conflict without a held report becomes one {!analyze_conflict} task
+    under it. The tasks of every session run in one
+    {!Cex_session.Pool.run} across [jobs] domains (default 1), session by
+    session and in conflict order, and their results are collected by
+    index. So the report order is the same at any jobs count, and so is
+    every non-timing field of every report, because the memoized shortest
+    paths are deterministic. Workers emit straight into each session's
+    trace sink; every search emits once per search and counter totals are
+    sums, so the totals do not depend on which domain ran what.
+
+    A conflict whose search raises yields a {!Search_crashed} report
+    instead of aborting the fan-out. *)
+
 val analyze_session :
   ?options:options -> ?jobs:int -> Cex_session.Session.t -> report
-(** Analyze every conflict of the session under a fresh cumulative
-    {!Cex_session.Deadline.budget} of [options.cumulative_timeout] seconds
-    of consumed search time.
-
-    [jobs] (default 1) is the conflict-level fan-out: with [jobs > 1] the
-    conflicts are spawned as tasks across that many domains, sharing the
-    single cumulative budget and the session's memoized search structures.
-    Reports are collected by conflict index, so the report order — and,
-    because the memoized shortest paths are deterministic, every
-    non-timing field of every report — is identical at any jobs count.
-    Per-task metric collectors are merged into the session's collector in
-    conflict order after the join.
-
-    A conflict whose search raises yields a {!Search_crashed} report (at
-    any jobs count) instead of aborting the session. *)
+(** {!analyze_sessions} on the one session, with nothing spent and no
+    report held. *)
 
 val analyze_conflict :
   ?options:options ->
   ?deadline:Cex_session.Deadline.t ->
-  ?trace:Cex_session.Trace.sink ->
   Cex_session.Session.t ->
   Conflict.t ->
   conflict_report
@@ -112,36 +134,23 @@ val analyze_conflict :
     searches are skipped and the report falls back to a nonunifying
     counterexample with {!Skipped_search}.
 
-    [trace] overrides the session's sink for this conflict's spans and
-    counters (the parallel driver passes per-task collectors). The product
-    search emits the ["product.search"] stage, with an ["alloc_words"]
-    counter holding the [Gc.minor_words] delta of the search; the
-    nonunifying fallback emits ["product.nonunifying"], and the shortest
-    path search ["path_search"]. Shortest paths are memoized on the session
-    per (conflict state, reduce item) group: one
-    {!Lookahead_path.find_all} finds the paths of every terminal of the
-    group's conflicts, and a memo hit emits no ["path_search"] span, so
-    span and counter totals count groups, not conflicts. The nonunifying
-    fallback reuses the conflict's path. When the search was skipped or
-    stopped by the deadline, it takes the group's memoized path if one is
-    installed, and otherwise searches for the path itself, with no
-    deadline.
+    Spans and counters go to the session's trace sink. The product search
+    emits the ["product.search"] stage, with an ["alloc_words"] counter
+    holding the words the search allocated; the nonunifying fallback emits
+    ["product.nonunifying"], and the shortest path search ["path_search"].
+    Shortest paths are memoized on the session per (conflict state, reduce
+    item) group: one {!Lookahead_path.find_all} finds the paths of every
+    terminal of the group's conflicts, and a memo hit emits no
+    ["path_search"] span, so span and counter totals count groups, not
+    conflicts. The nonunifying fallback reuses the conflict's path. When
+    the search was skipped or stopped by the deadline, it takes the
+    group's memoized path if one is installed, and otherwise searches for
+    the path itself, with no deadline.
 
     An exception raised while analyzing the conflict is caught here and
-    returned as a {!Search_crashed} report built by
-    {!crashed_conflict_report}: this is the one crash-isolation point of
-    the session fan-out, the batch scheduler and the server. *)
-
-val crashed_conflict_report :
-  Cex_session.Session.t ->
-  Conflict.t ->
-  exn ->
-  string ->
-  conflict_report
-(** [crashed_conflict_report session conflict exn backtrace]: the
-    {!Search_crashed} report {!analyze_conflict} returns for a conflict
-    whose analysis raised, so one poisoned conflict degrades to a per-item
-    error instead of aborting the batch. *)
+    returned as a {!Search_crashed} report, with the exception and its
+    backtrace in [failure]: this is the one crash-isolation point of the
+    session fan-out, the batch scheduler and the server. *)
 
 val grammar : report -> Cfg.Grammar.t
 val n_unifying : report -> int

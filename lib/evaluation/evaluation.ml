@@ -22,15 +22,12 @@ type row = {
 }
 
 let run_row ?(options = Cex.Driver.default_options) ?(with_baseline = false)
-    ?(baseline_budget = 15.0) ?(jobs = 1) (entry : Corpus.entry) =
+    ?(baseline_budget = 15.0) (entry : Corpus.entry) =
   let g = Corpus.grammar entry in
   let session = Cex_session.Session.create g in
   let table = Cex_session.Session.table session in
   let lalr = Cex_session.Session.lalr session in
-  let report =
-    if jobs <= 1 then Cex.Driver.analyze_session ~options session
-    else Cex_service.Scheduler.analyze_session ~options ~jobs session
-  in
+  let report = Cex.Driver.analyze_session ~options session in
   let analysis = Lalr.analysis lalr in
   let misleading_naive =
     List.length
@@ -73,13 +70,12 @@ let run_row ?(options = Cex.Driver.default_options) ?(with_baseline = false)
 
 let run_rows ?options ?with_baseline ?baseline_budget ?(jobs = 1) ?on_row
     entries =
-  let row entry =
-    let r = run_row ?options ?with_baseline ?baseline_budget entry in
-    Option.iter (fun f -> f r) on_row;
-    r
-  in
-  if jobs <= 1 then List.map row entries
-  else Cex_service.Scheduler.map ~jobs row entries
+  let entries = Array.of_list entries in
+  Array.to_list
+    (Cex_session.Pool.run ~jobs (Array.length entries) (fun i ->
+         let r = run_row ?options ?with_baseline ?baseline_budget entries.(i) in
+         Option.iter (fun f -> f r) on_row;
+         r))
 
 (* ------------------------------------------------------------------ *)
 

@@ -22,11 +22,11 @@ val run_row :
   ?options:Cex.Driver.options ->
   ?with_baseline:bool ->
   ?baseline_budget:float ->
-  ?jobs:int ->
   Corpus.entry ->
   row
-(** [jobs > 1] fans the entry's conflicts out to a
-    {!Cex_service.Scheduler} worker pool. *)
+(** One row: the entry's conflicts analyzed one after another
+    ({!Cex.Driver.analyze_session} at jobs 1), so its timings are
+    comparable across rows. *)
 
 val run_rows :
   ?options:Cex.Driver.options ->
@@ -36,10 +36,10 @@ val run_rows :
   ?on_row:(row -> unit) ->
   Corpus.entry list ->
   row list
-(** Whole-table runner. [jobs > 1] computes rows in parallel (each row's
-    conflicts sequential, so per-row timings stay comparable); [on_row] is
-    called as each row completes — from worker domains when parallel, so it
-    must be thread-safe. Rows come back in input order. *)
+(** Whole-table runner: {!run_row} on each entry, across [jobs] domains
+    (default 1) of one {!Cex_session.Pool.run}. [on_row] is called as each
+    row completes — from worker domains when [jobs > 1], so it must be
+    thread-safe. Rows come back in input order. *)
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

@@ -4,7 +4,6 @@ module Cache = Cex_service.Cache
 module Session = Cex_session.Session
 module Delta = Cex_session.Delta
 module Clock = Cex_session.Clock
-module Deadline = Cex_session.Deadline
 module Trace = Cex_session.Trace
 module Oracle = Cex_validate.Oracle
 module Stats = Cex_service.Stats
@@ -124,7 +123,7 @@ let note_tasks stats n =
 
 let analyze_hot ~options ~jobs ?stats t session digest served =
   note_tasks stats (List.length (Session.conflicts session));
-  let report = Scheduler.analyze_session ~options ~jobs session in
+  let report = Cex.Driver.analyze_session ~options ~jobs session in
   Scheduler.store_report t.scheduler digest report;
   (report, digest, served)
 
@@ -194,44 +193,19 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
         | None -> None)
       conflicts
   in
-  let deadline =
-    Deadline.budget clock options.Cex.Driver.cumulative_timeout
-  in
-  let fresh_jobs =
-    Array.to_list
-      (Array.mapi
-         (fun i conflict ->
-           match reused.(i) with Some _ -> None | None -> Some (i, conflict))
-         conflicts)
-    |> List.filter_map Fun.id
-  in
-  note_tasks stats (List.length fresh_jobs);
-  let fresh_crs =
-    Scheduler.map ~jobs
-      (fun (i, conflict) ->
-        (i, Cex.Driver.analyze_conflict ~options ~deadline session conflict))
-      fresh_jobs
-  in
-  let crs =
-    Array.mapi
-      (fun i reused_cr ->
-        match reused_cr with
-        | Some cr -> cr
-        | None -> List.assoc i fresh_crs)
-      reused
-  in
   let n_reused =
     Array.fold_left
       (fun n r -> if Option.is_some r then n + 1 else n)
       0 reused
   in
+  let n_searched = Array.length conflicts - n_reused in
+  note_tasks stats n_searched;
   Trace.count trace "delta" "reused_conflicts" n_reused;
-  Trace.count trace "delta" "searched_conflicts" (List.length fresh_jobs);
+  Trace.count trace "delta" "searched_conflicts" n_searched;
+  let spent = Clock.now clock -. t0 in
   let report =
-    { Cex.Driver.table = Session.table session;
-      conflict_reports = Array.to_list crs;
-      total_elapsed = Clock.now clock -. t0;
-      metrics = Session.metrics session }
+    (Cex.Driver.analyze_sessions ~options ~jobs
+       [| { Cex.Driver.session; spent; held = reused } |]).(0)
   in
   Scheduler.store_session t.scheduler digest session;
   Scheduler.store_report t.scheduler digest report;
@@ -243,7 +217,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
         seeded_nonterminals;
         total_nonterminals;
         reused_conflicts = n_reused;
-        searched_conflicts = List.length fresh_jobs } )
+        searched_conflicts = n_searched } )
 
 let analyze_cold ~options ~jobs ?stats t g digest =
   let clock = Scheduler.clock t.scheduler in

@@ -63,7 +63,7 @@ let conflicts_json report =
 
 let cross_check t ~options report g =
   let fresh = Session.create ~clock:t.clock g in
-  let cold_report = Scheduler.analyze_session ~options ~jobs:t.jobs fresh in
+  let cold_report = Cex.Driver.analyze_session ~options ~jobs:t.jobs fresh in
   let a = conflicts_json report and b = conflicts_json cold_report in
   let equal = String.equal (Json.to_string ~minify:true a) (Json.to_string ~minify:true b) in
   Json.Obj
@@ -147,11 +147,20 @@ let handle_line t line =
 (* ------------------------------------------------------------------ *)
 (* Connection loop. *)
 
+(* The longest request line accepted, in bytes: about 80 times the largest
+   corpus spec. A longer line's bytes are dropped as they arrive, and the
+   line is answered with [bad-request] once it ends. *)
+let max_line_bytes = 1 lsl 20
+
 type conn = {
   fd : Unix.file_descr;
-  pending : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
+  pending : Buffer.t;  (* the current line's bytes, not yet ended by '\n' *)
+  mutable overlong : bool;  (* the current line passed [max_line_bytes] *)
   mutable closed : bool;
 }
+
+let new_conn fd =
+  { fd; pending = Buffer.create 256; overlong = false; closed = false }
 
 let write_all conn s =
   if not conn.closed then
@@ -174,20 +183,38 @@ let close_conn conn =
   end
   else try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-(* Split the complete lines out of a connection's read buffer. *)
-let take_lines conn =
-  let data = Buffer.contents conn.pending in
-  Buffer.clear conn.pending;
-  let rec go acc start =
-    match String.index_from_opt data start '\n' with
-    | Some nl ->
-      go (String.sub data start (nl - start) :: acc) (nl + 1)
-    | None ->
-      Buffer.add_substring conn.pending data start
-        (String.length data - start);
-      List.rev acc
+(* Add [buf.[start..stop)] to the current line, or drop it once the line is
+   over-long. *)
+let extend conn buf start stop =
+  if not conn.overlong then
+    if Buffer.length conn.pending + (stop - start) > max_line_bytes then begin
+      conn.overlong <- true;
+      Buffer.reset conn.pending
+    end
+    else Buffer.add_subbytes conn.pending buf start (stop - start)
+
+(* End the current line: [Some line], or [None] for an over-long one. *)
+let end_line conn =
+  let line =
+    if conn.overlong then None else Some (Buffer.contents conn.pending)
   in
-  go [] 0
+  Buffer.reset conn.pending;
+  conn.overlong <- false;
+  line
+
+(* The lines that the [n] bytes just read into [buf] complete. Only those
+   bytes are scanned, so a line costs time linear in its length. *)
+let take_lines conn buf n =
+  let lines = ref [] and start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get buf i = '\n' then begin
+      extend conn buf !start i;
+      lines := end_line conn :: !lines;
+      start := i + 1
+    end
+  done;
+  extend conn buf !start n;
+  List.rev !lines
 
 let read_chunk =
   let size = 65536 in
@@ -196,24 +223,26 @@ let read_chunk =
     match Unix.read conn.fd buf 0 size with
     | 0 ->
       (* EOF: a trailing unterminated line still counts as a request. *)
-      let leftovers = take_lines conn in
-      let last = Buffer.contents conn.pending in
-      Buffer.clear conn.pending;
       conn.closed <- true;
-      if String.length last > 0 then leftovers @ [ last ] else leftovers
-    | n ->
-      Buffer.add_subbytes conn.pending buf 0 n;
-      take_lines conn
+      if conn.overlong || Buffer.length conn.pending > 0 then [ end_line conn ]
+      else []
+    | n -> take_lines conn buf n
     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
       conn.closed <- true;
       []
+
+let respond t = function
+  | Some line -> handle_line t line
+  | None ->
+    Protocol.error Protocol.Bad_request
+      (Fmt.str "request line longer than %d bytes" max_line_bytes)
 
 let serve_loop t ?listener conns_in =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ());
-  let conns = ref (List.map (fun fd -> { fd; pending = Buffer.create 256; closed = false }) conns_in) in
-  let queue : (float * conn * string) Queue.t = Queue.create () in
+  let conns = ref (List.map new_conn conns_in) in
+  let queue : (float * conn * string option) Queue.t = Queue.create () in
   let listener_open = ref (Option.is_some listener) in
   let stop = ref false in
   while not !stop do
@@ -240,10 +269,7 @@ let serve_loop t ?listener conns_in =
           match listener with
           | Some l when fd = l ->
             (match Unix.accept l with
-            | client, _ ->
-              conns :=
-                { fd = client; pending = Buffer.create 256; closed = false }
-                :: !conns
+            | client, _ -> conns := new_conn client :: !conns
             | exception Unix.Unix_error _ -> ())
           | _ -> (
             match List.find_opt (fun c -> c.fd = fd) !conns with
@@ -252,12 +278,13 @@ let serve_loop t ?listener conns_in =
               let lines = read_chunk conn in
               List.iter
                 (fun line ->
-                  if String.trim line <> "" then
+                  if Option.map String.trim line <> Some "" then
                     if Queue.length queue >= t.queue_limit then
                       let id =
-                        match Protocol.parse_request line with
-                        | Ok req -> Some (Protocol.request_id req)
-                        | Error (id, _, _) -> id
+                        match Option.map Protocol.parse_request line with
+                        | Some (Ok req) -> Some (Protocol.request_id req)
+                        | Some (Error (id, _, _)) -> id
+                        | None -> None
                       in
                       write_all conn
                         (Protocol.to_line
@@ -273,7 +300,7 @@ let serve_loop t ?listener conns_in =
       while not (Queue.is_empty queue) do
         let enqueued, conn, line = Queue.pop queue in
         Stats.add_stage t.stats "queue_wait" (Clock.now t.clock -. enqueued);
-        let response = handle_line t line in
+        let response = respond t line in
         write_all conn (Protocol.to_line response)
       done;
       (* 4. Drop closed connections; finish a drain. *)

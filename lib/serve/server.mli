@@ -46,6 +46,11 @@ val stats_json : t -> Cex_service.Json.t
     (including cumulative ["queue_wait"]), and per-shard session-cache
     counters. *)
 
+val max_line_bytes : int
+(** The longest request line accepted, in bytes (1 MiB). A longer line is
+    answered with [bad-request] and a null [id] once it ends; its bytes are
+    dropped as they arrive, and the connection stays open. *)
+
 val serve_connections : t -> Unix.file_descr list -> unit
 (** Drive an already-connected set of stream sockets to completion: read
     NDJSON requests, answer in arrival order, stop when every connection

@@ -1,51 +1,8 @@
 module Session = Cex_session.Session
 module Clock = Cex_session.Clock
-module Deadline = Cex_session.Deadline
 module Trace = Cex_session.Trace
 
 let default_jobs () = Cex_session.Pool.default_jobs ()
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool: the shared domain pool, with queue depths recorded into the
-   run's stats. *)
-
-let run_pool ?stats ~jobs n (f : int -> 'a) : 'a array =
-  let on_dequeue =
-    match stats with
-    | Some st -> Some (fun depth -> Stats.note_queue_depth st depth)
-    | None -> None
-  in
-  Cex_session.Pool.run ?on_dequeue ~jobs n f
-
-let map ?(jobs = default_jobs ()) f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (run_pool ~jobs (Array.length arr) (fun i -> f arr.(i)))
-
-(* ------------------------------------------------------------------ *)
-
-let search_seconds crs =
-  Array.fold_left (fun t cr -> t +. cr.Cex.Driver.elapsed) 0.0 crs
-
-let analyze_session ?(options = Cex.Driver.default_options)
-    ?(jobs = default_jobs ()) ?stats session =
-  let n = List.length (Session.conflicts session) in
-  (* The conflict-level fan-out itself (shared budget, per-task crash
-     conversion, deterministic report order, per-task trace merging) lives
-     in [Driver.analyze_session]; this wrapper only records the service
-     stats around it. *)
-  (match stats with
-  | Some st ->
-    Stats.note_queue_depth st n;
-    Stats.add_conflicts st n;
-    Stats.add_conflict_tasks st n
-  | None -> ());
-  let report = Cex.Driver.analyze_session ~options ~jobs session in
-  (match stats with
-  | Some st ->
-    Stats.add_stage st "conflict_search"
-      (search_seconds (Array.of_list report.Cex.Driver.conflict_reports))
-  | None -> ());
-  report
 
 (* ------------------------------------------------------------------ *)
 (* The batch service. *)
@@ -61,7 +18,7 @@ type t = {
 let create ?(options = Cex.Driver.default_options) ?(jobs = default_jobs ())
     ?(cache_capacity = 128) ?(cache_shards = 1) ?(clock = Clock.system) () =
   { options;
-    jobs = max 1 jobs;
+    jobs = Cex_session.Pool.clamp_jobs jobs;
     clock;
     sessions = Cache.Sharded.create ~shards:cache_shards ~capacity:cache_capacity ();
     reports = Cache.create ~capacity:cache_capacity () }
@@ -115,132 +72,84 @@ let shard_of ~digest ~shards =
 let default_window = 32
 
 (* Phase-1 classification of a window entry. *)
-type fresh = {
-  session : Session.t;
-  deadline : Deadline.t;
-  table_seconds : float;
-  conflicts : Automaton.Conflict.t array;
-  first_job : int;  (* offset into the window's flattened conflict jobs *)
-}
-
 type prepared =
   | Cached of Cex.Driver.report
-  | Fresh of fresh
-  | Duplicate of int  (* slot of the identical fresh entry in this window *)
+  | Fresh of int  (* index into the window's fresh sessions *)
+  | Duplicate of int  (* index of the identical fresh entry's session *)
 
 let process_window t ~stats ~emit entries =
   Stats.add_grammars stats (List.length entries);
   (* Phase 1 (sequential): digest, report-cache lookup, session build.
-     [seen_fresh] maps a digest to its window slot, so an intra-window
+     [seen_fresh] maps a digest to its fresh index, so an intra-window
      duplicate is an O(1) array lookup later — never a list traversal. *)
   let seen_fresh : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let next_job = ref 0 in
+  let fresh = ref [] in
   let prepared =
-    Array.of_list
-      (List.mapi
-         (fun slot (name, g, digest) ->
-           let prep =
-             match Cache.find t.reports digest with
-             | Some report -> Cached report
-             | None -> (
-               match Hashtbl.find_opt seen_fresh digest with
-               | Some j -> Duplicate j
-               | None ->
-                 let t0 = Clock.now t.clock in
-                 let session =
-                   match Cache.Sharded.find t.sessions digest with
-                   | Some s ->
-                     Trace.count (Session.trace s) "session" "cache_hits" 1;
-                     s
-                   | None ->
-                     let s = Session.create ~clock:t.clock g in
-                     Cache.Sharded.set t.sessions digest s;
-                     s
-                 in
-                 let table_seconds = Clock.now t.clock -. t0 in
-                 Stats.add_stage stats "table_build" table_seconds;
-                 let conflicts = Array.of_list (Session.conflicts session) in
-                 Stats.add_conflicts stats (Array.length conflicts);
-                 Hashtbl.add seen_fresh digest slot;
-                 let first_job = !next_job in
-                 next_job := !next_job + Array.length conflicts;
-                 Fresh
-                   { session;
-                     deadline =
-                       Deadline.budget t.clock
-                         t.options.Cex.Driver.cumulative_timeout;
-                     table_seconds;
-                     conflicts;
-                     first_job })
-           in
-           (name, digest, prep))
-         entries)
+    List.map
+      (fun (name, g, digest) ->
+        let prep =
+          match Cache.find t.reports digest with
+          | Some report -> Cached report
+          | None -> (
+            match Hashtbl.find_opt seen_fresh digest with
+            | Some i -> Duplicate i
+            | None ->
+              let t0 = Clock.now t.clock in
+              let session =
+                match Cache.Sharded.find t.sessions digest with
+                | Some s ->
+                  Trace.count (Session.trace s) "session" "cache_hits" 1;
+                  s
+                | None ->
+                  let s = Session.create ~clock:t.clock g in
+                  Cache.Sharded.set t.sessions digest s;
+                  s
+              in
+              let spent = Clock.now t.clock -. t0 in
+              Stats.add_stage stats "table_build" spent;
+              Stats.add_conflicts stats
+                (List.length (Session.conflicts session));
+              let i = Hashtbl.length seen_fresh in
+              Hashtbl.add seen_fresh digest i;
+              fresh :=
+                (digest, { Cex.Driver.session; spent; held = [||] }) :: !fresh;
+              Fresh i)
+        in
+        (name, digest, prep))
+      entries
   in
-  Stats.note_live_sessions stats (Hashtbl.length seen_fresh);
-  (* Phase 2: one conflict-level fan-out across the window's fresh
-     grammars. *)
-  let job_table = Array.make !next_job None in
-  Array.iter
-    (fun (_, _, prep) ->
-      match prep with
-      | Fresh f ->
-        Array.iteri
-          (fun k c -> job_table.(f.first_job + k) <- Some (f, c))
-          f.conflicts
-      | Cached _ | Duplicate _ -> ())
-    prepared;
-  Stats.add_conflict_tasks stats (Array.length job_table);
-  let crs =
-    run_pool ~stats ~jobs:t.jobs (Array.length job_table) (fun i ->
-        let f, conflict = Option.get job_table.(i) in
-        (* [analyze_conflict] turns a crash into a [Search_crashed] report,
-           so one conflict cannot abort the pool and lose the batch. *)
-        Cex.Driver.analyze_conflict ~options:t.options ~deadline:f.deadline
-          f.session conflict)
+  let digests, pending = Array.split (Array.of_list (List.rev !fresh)) in
+  Stats.note_live_sessions stats (Array.length pending);
+  (* Phase 2: one conflict fan-out across the window's fresh grammars. *)
+  let tasks =
+    Array.fold_left
+      (fun n p -> n + List.length (Session.conflicts p.Cex.Driver.session))
+      0 pending
   in
-  Stats.add_stage stats "conflict_search" (search_seconds crs);
-  (* Phase 3 (sequential): assemble each fresh report exactly once, fill
-     the report cache, and emit in input order. Duplicates reuse the
-     already-assembled (physically shared) report of their fresh twin. *)
-  let finish_fresh f =
-    let conflict_reports =
-      Array.to_list
-        (Array.init (Array.length f.conflicts) (fun k ->
-             crs.(f.first_job + k)))
-    in
-    { Cex.Driver.table = Session.table f.session;
-      conflict_reports;
-      total_elapsed =
-        f.table_seconds
-        +. List.fold_left
-             (fun t cr -> t +. cr.Cex.Driver.elapsed)
-             0.0 conflict_reports;
-      metrics = Session.metrics f.session }
+  Stats.add_conflict_tasks stats tasks;
+  Stats.note_queue_depth stats tasks;
+  let reports =
+    Cex.Driver.analyze_sessions ~options:t.options ~jobs:t.jobs pending
   in
-  let finished =
-    Array.map
-      (fun (_, digest, prep) ->
-        match prep with
-        | Fresh f ->
-          let report = finish_fresh f in
-          Cache.set t.reports digest report;
-          Some report
-        | Cached _ | Duplicate _ -> None)
-      prepared
-  in
-  Array.iteri
-    (fun slot (name, digest, prep) ->
-      let result =
-        match prep with
+  Stats.add_stage stats "conflict_search"
+    (Array.fold_left
+       (fun sum r ->
+         List.fold_left
+           (fun sum cr -> sum +. cr.Cex.Driver.elapsed)
+           sum r.Cex.Driver.conflict_reports)
+       0.0 reports);
+  (* Phase 3 (sequential): fill the report cache, then emit in input
+     order. Duplicates share the (physically equal) report of their fresh
+     twin. *)
+  Array.iteri (fun i report -> Cache.set t.reports digests.(i) report) reports;
+  List.iter
+    (fun (name, digest, prep) ->
+      emit
+        (match prep with
         | Cached report -> { name; digest; report; from_cache = true }
-        | Fresh _ ->
-          { name; digest; report = Option.get finished.(slot);
-            from_cache = false }
-        | Duplicate j ->
-          { name; digest; report = Option.get finished.(j);
-            from_cache = true }
-      in
-      emit result)
+        | Fresh i -> { name; digest; report = reports.(i); from_cache = false }
+        | Duplicate i ->
+          { name; digest; report = reports.(i); from_cache = true }))
     prepared
 
 let analyze_batch_emit ?(window = default_window) ?shard t ~emit entries =

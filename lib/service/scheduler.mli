@@ -1,47 +1,24 @@
-(** Parallel conflict scheduler: the batch analysis service's execution
-    engine.
+(** The batch analysis service: grammars stream through a bounded window,
+    sessions and finished reports go through the content-addressed
+    {!Cache}, and each window's conflicts fan out across an OCaml 5
+    [Domain] pool.
 
-    Conflict-driven counterexample search is embarrassingly parallel at the
-    conflict level: once the session's LALR automaton is built, each
-    [(state, item, terminal)] conflict search (paper sections 4 and 5) only
-    reads the immutable {!Cex_session.Session.t}, so conflicts fan out
-    safely across an OCaml 5 [Domain] worker pool. Whole grammars fan out
-    the same way in batch mode, after a sequential session-build phase that
-    goes through the content-addressed {!Cache}.
-
-    Budget semantics: the cumulative timeout is a
-    {!Cex_session.Deadline.budget} of {e search time consumed}, shared by
-    every worker through the driver — before each conflict
-    {!Cex.Driver.analyze_conflict} clamps its per-conflict deadline to the
+    The fan-out itself is {!Cex.Driver.analyze_sessions}, the one used by
+    [lrcex analyze] and the server as well: once a session's LALR
+    automaton is built, each [(state, item, terminal)] conflict search
+    (paper sections 4 and 5) only reads the immutable
+    {!Cex_session.Session.t}, so a window's conflicts run as one pool of
+    tasks. Each grammar meters its own cumulative
+    {!Cex_session.Deadline.budget} of {e search time consumed}: before
+    each conflict the driver clamps the per-conflict deadline to the
     budget still unspent and consumes the conflict's elapsed time
-    afterwards. Once the budget is exhausted, remaining conflicts skip the
-    unifying search and degrade gracefully to nonunifying counterexamples.
-    With [jobs = 1] this coincides with the sequential
-    {!Cex.Driver.analyze_session}; with more workers it bounds total work
-    rather than wall time, keeping outcomes independent of worker
-    interleaving. *)
+    afterwards, so with more workers the budget bounds total work rather
+    than wall time, and outcomes do not depend on worker interleaving.
+    Once the budget is exhausted, remaining conflicts skip the unifying
+    search and degrade to nonunifying counterexamples. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], the whole machine. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over a worker pool of [jobs] domains
-    (including the calling one). A worker's exception aborts the remaining
-    items and is re-raised in the caller after the pool drains. *)
-
-val analyze_session :
-  ?options:Cex.Driver.options ->
-  ?jobs:int ->
-  ?stats:Stats.t ->
-  Cex_session.Session.t ->
-  Cex.Driver.report
-(** {!Cex.Driver.analyze_session} with the service defaults ([jobs]
-    defaults to the whole machine) plus stats recording: conflict and
-    conflict-task counts, queue depth, and a ["conflict_search"] stage with
-    the summed per-conflict elapsed time. The fan-out itself — shared
-    budget, deterministic report order, per-task crash conversion into
-    {!Cex.Driver.Search_crashed} reports, per-task trace merging — is the
-    driver's. *)
 
 (** {1 The batch service} *)
 
@@ -67,6 +44,9 @@ val create :
     on one cache lock; [cache_capacity] is the total across shards. *)
 
 val jobs : t -> int
+(** The worker domains the service runs: the requested count clamped by
+    {!Cex_session.Pool.clamp_jobs}, as its stats record. *)
+
 val options : t -> Cex.Driver.options
 val clock : t -> Cex_session.Clock.t
 

@@ -7,7 +7,9 @@
 type t
 
 type summary = {
-  jobs : int;  (** worker domains used *)
+  jobs : int;
+      (** worker domains the run could use: the requested count clamped by
+          {!Cex_session.Pool.clamp_jobs} *)
   grammars : int;
   conflicts : int;
   conflict_tasks : int;
@@ -15,7 +17,9 @@ type summary = {
           two-level scheduler's unit of work (one per conflict of every
           freshly analyzed grammar; cached reports dispatch none) *)
   wall_seconds : float;  (** creation to {!finish} *)
-  max_queue_depth : int;  (** largest pending-job backlog observed *)
+  max_queue_depth : int;
+      (** largest backlog observed: a batch window's conflict tasks, or the
+          server's pending requests *)
   max_live_sessions : int;
       (** largest number of fresh sessions simultaneously pinned by the
           batch pipeline (outside the session cache) — bounded by the

@@ -1,6 +1,5 @@
-(* Shared domain-pool primitive for both fan-out levels: the service
-   scheduler's grammar/conflict batches and the driver's intra-session
-   conflict fan-out. Workers pull indices from an atomic counter, so the
+(* The domain pool behind the driver's conflict fan-out and the Table 1
+   row runner. Workers pull indices from an atomic counter, so the
    assignment of items to domains is dynamic but the result array is
    indexed — callers get deterministic output order for free. *)
 
@@ -33,47 +32,35 @@ let tune_gc () =
   in
   if tuned <> g then Gc.set tuned
 
-let run ?(on_dequeue = fun (_ : int) -> ()) ~jobs n f =
+let run ~jobs n f =
   let jobs = clamp_jobs jobs in
-  if n = 0 then [||]
+  if jobs <= 1 || n <= 1 then Array.init n f
   else begin
-    on_dequeue n;
-    if jobs <= 1 || n = 1 then
-      Array.init n (fun i ->
-          on_dequeue (n - i - 1);
-          f i)
-    else begin
-      let next = Atomic.make 0 in
-      let results = Array.make n None in
-      let failure = Atomic.make None in
-      let worker () =
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n || Atomic.get failure <> None then continue := false
-          else begin
-            on_dequeue (n - i - 1);
-            (try results.(i) <- Some (f i)
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-               continue := false)
-          end
-        done
-      in
-      let domains =
-        Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker)
-      in
-      worker ();
-      Array.iter Domain.join domains;
-      (match Atomic.get failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ());
-      Array.map
-        (function
-          | Some r -> r
-          | None -> assert false (* no failure => every slot filled *))
-        results
-    end
+    let next = Atomic.make 0 in
+    let results = Array.make n None in
+    let failure = Atomic.make None in
+    let worker () =
+      let continue = ref true in
+      while !continue do
+        let i = Atomic.fetch_and_add next 1 in
+        if i >= n || Atomic.get failure <> None then continue := false
+        else
+          try results.(i) <- Some (f i)
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+            continue := false
+      done
+    in
+    let domains = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    Array.iter Domain.join domains;
+    (match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    Array.map
+      (function
+        | Some r -> r
+        | None -> assert false (* no failure => every slot filled *))
+      results
   end
-

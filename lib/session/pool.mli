@@ -7,18 +7,16 @@
     raised by any item wins, stops all workers at their next dequeue, and is
     re-raised (with its backtrace) after every domain has been joined.
 
-    [on_dequeue] is a depth gauge for stats: it is called with [n] before
-    any work starts and with the number of items still queued after each
-    dequeue. With [jobs <= 1] (or a single item) everything runs inline on
-    the calling domain — no domains are spawned, exceptions propagate
-    directly, and [on_dequeue] fires identically.
+    With [jobs <= 1] (or a single item) everything runs inline on the
+    calling domain, in index order: no domains are spawned and exceptions
+    propagate directly.
 
     [jobs] is clamped to {!clamp_jobs} — more domains than cores is
     strictly slower for this allocation-heavy workload (every minor
     collection is a stop-the-world sync across all live domains), so the
     pool never oversubscribes no matter what the caller asks for. *)
 
-val run : ?on_dequeue:(int -> unit) -> jobs:int -> int -> (int -> 'a) -> 'a array
+val run : jobs:int -> int -> (int -> 'a) -> 'a array
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], the whole machine. *)

@@ -37,8 +37,9 @@ val create :
     which case {!metrics} is empty). *)
 
 val of_table : ?clock:Clock.t -> ?trace:Trace.sink -> Parse_table.t -> t
-(** Wrap an already-built table (tests and tools); classifies conflicts
-    (emitting the same ["classify"] span as {!create}) but no build span. *)
+(** Wrap an already-built table. Classifies the conflicts, emitting the
+    ["classify"] span, but emits no build span; {!create} builds the table
+    and then constructs the session the same way. *)
 
 val grammar : t -> Cfg.Grammar.t
 val analysis : t -> Cfg.Analysis.t
@@ -78,16 +79,6 @@ val shared : t -> 'a Store.key -> (unit -> 'a) -> 'a
     guarded by its own finer-grained locking. *)
 
 (** {1 Metrics} *)
-
-val has_private_collector : t -> bool
-(** True when the session aggregates into its own private collector (no
-    external [trace] sink was injected at construction). The parallel driver
-    only buffers per-task metrics when this holds; with an external sink,
-    tasks emit into it directly. *)
-
-val absorb_metrics : t -> Trace.metrics -> unit
-(** Merge a per-task metrics snapshot into the session's private collector.
-    With an external sink, falls back to replaying only the counters. *)
 
 val metrics : t -> Trace.metrics
 (** Snapshot of the session's private collector (empty when an external

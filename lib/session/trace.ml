@@ -82,21 +82,6 @@ let collector_sink c =
             | Some r -> r := !r + n
             | None -> Hashtbl.add e.acc_counters counter (ref n))) }
 
-let absorb c (m : metrics) =
-  with_lock c (fun () ->
-      List.iter
-        (fun (stage, metric) ->
-          let e = entry_of c stage in
-          e.acc_seconds <- e.acc_seconds +. metric.seconds;
-          e.acc_spans <- e.acc_spans + metric.spans;
-          List.iter
-            (fun (name, n) ->
-              match Hashtbl.find_opt e.acc_counters name with
-              | Some r -> r := !r + n
-              | None -> Hashtbl.add e.acc_counters name (ref n))
-            metric.counters)
-        m)
-
 let replay_counters sink (m : metrics) =
   List.iter
     (fun (stage, metric) ->

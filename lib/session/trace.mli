@@ -55,16 +55,16 @@ val timed_alloc : sink -> Clock.t -> string -> (unit -> 'a) -> 'a
 type collector
 
 val collector : unit -> collector
+
 val collector_sink : collector -> sink
+(** A sink every domain may emit into: each emission takes the collector's
+    lock once. The conflict fan-out's workers share their session's
+    collector this way; producers emit once per stage run, so the lock is
+    taken a few times per search, and the totals are sums, the same in any
+    order. *)
 
 val metrics : collector -> metrics
 (** Snapshot; safe to call while domains are still emitting. *)
-
-val absorb : collector -> metrics -> unit
-(** Merge a metrics snapshot into the collector: add seconds, spans, and
-    counters stage by stage. Worker domains buffer into a local collector
-    and absorb the result once, instead of contending on the shared lock
-    from inside search loops. *)
 
 val replay_counters : sink -> metrics -> unit
 (** Re-emit only the counters of a snapshot into a sink (no spans). Used

@@ -235,6 +235,35 @@ let test_skipped_reuses_memo () =
       | _ -> Alcotest.fail "expected a nonunifying counterexample")
     skipped.Cex.Driver.conflict_reports
 
+(* [total_elapsed] has one definition on every path: the seconds spent
+   before the fan-out plus the conflicts' summed [elapsed]. On a fake clock
+   that advances 1 ms per read, [analyze_session] spends nothing before
+   its fan-out, and the batch scheduler spends the session build it records
+   as its "table_build" stage. *)
+let test_total_elapsed () =
+  let g = Corpus.grammar (Corpus.find "figure1") in
+  let fake () = fst (Cex_session.Clock.fake ~auto_advance:0.001 ()) in
+  let summed r =
+    List.fold_left
+      (fun t cr -> t +. cr.Cex.Driver.elapsed)
+      0.0 r.Cex.Driver.conflict_reports
+  in
+  let r =
+    Cex.Driver.analyze_session ~jobs:1
+      (Cex_session.Session.create ~clock:(fake ()) g)
+  in
+  Alcotest.(check bool) "the searches took time" true (summed r > 0.0);
+  Alcotest.(check (float 0.0)) "analyze_session: the summed elapsed"
+    (summed r) r.Cex.Driver.total_elapsed;
+  let service = Cex_service.Scheduler.create ~jobs:1 ~clock:(fake ()) () in
+  let b, stats = Cex_service.Scheduler.analyze service g in
+  let r = b.Cex_service.Scheduler.report in
+  let build = List.assoc "table_build" stats.Cex_service.Stats.stages in
+  Alcotest.(check bool) "the build took time" true (build > 0.0);
+  Alcotest.(check (float 0.0))
+    "Scheduler.analyze: the build plus the summed elapsed"
+    (build +. summed r) r.Cex.Driver.total_elapsed
+
 (* Grammar with no conflicts: an empty, instant report. *)
 let test_no_conflicts () =
   let g = Spec_parser.grammar_of_string_exn "s : A s B | C ;" in
@@ -261,4 +290,6 @@ let suite =
         test_group_metrics_jobs_invariant;
       Alcotest.test_case "skipped-reuses-memo" `Quick
         test_skipped_reuses_memo;
+      Alcotest.test_case "total-elapsed-one-definition" `Quick
+        test_total_elapsed;
       Alcotest.test_case "no-conflicts" `Quick test_no_conflicts ] )

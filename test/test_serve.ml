@@ -253,6 +253,11 @@ let test_malformed_input_hardening () =
       check_error (Some "m2") "bad-request" (rpc c {|{"op":"frobnicate","id":"m2"}|});
       check_error (Some "m3") "parse-error"
         (rpc c {|{"op":"analyze","id":"m3","spec":"%% not a grammar %%"}|});
+      (* A line one byte over the cap is dropped as it arrives and answered
+         once it ends; the connection stays open. *)
+      check_error None "bad-request"
+        (rpc c (String.make (Server.max_line_bytes + 1) 'x'));
+      check_ok "p1" (rpc c {|{"op":"ping","id":"p1"}|});
       (* The loop survived all of it. *)
       let r = rpc c (analyze_line ~id:"alive" dangling) in
       check_ok "alive" r)

@@ -107,6 +107,10 @@ let test_determinism () =
     "jobs=1 and jobs=4 agree on every outcome and counterexample" sequential
     parallel
 
+(* The batch scheduler and the one-grammar driver share one fan-out: on
+   fresh sessions of the same grammar their zero-floated reports agree byte
+   for byte, metrics included (the trace collectors are per-session, so the
+   span and counter totals must agree too), at any jobs count. *)
 let test_scheduler_matches_driver () =
   let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1 in
   let normalize r =
@@ -115,23 +119,39 @@ let test_scheduler_matches_driver () =
          (fun _ -> 0.0)
          (Cex_service.Json_report.report_to_json r))
   in
-  (* Two independent sessions of the same grammar: the trace collectors are
-     per-session, so the metrics objects (deterministic span and counter
-     totals) must agree too. *)
-  Alcotest.(check string)
-    "parallel analyze_session equals the sequential driver"
+  let scheduled jobs =
+    let service = Cex_service.Scheduler.create ~jobs () in
+    (fst (Cex_service.Scheduler.analyze service g)).Cex_service.Scheduler.report
+  in
+  let driver =
+    normalize (Cex.Driver.analyze_session (Cex_session.Session.create g))
+  in
+  Alcotest.(check string) "Scheduler.analyze at jobs 1 equals the driver"
+    driver (normalize (scheduled 1));
+  Alcotest.(check string) "Scheduler.analyze at jobs 4 equals the driver"
+    driver (normalize (scheduled 4));
+  Alcotest.(check string) "the driver at jobs 4 equals the driver at jobs 1"
+    driver
     (normalize
-       (Cex.Driver.analyze_session (Cex_session.Session.create g)))
-    (normalize
-       (Cex_service.Scheduler.analyze_session ~jobs:4
-          (Cex_session.Session.create g)))
+       (Cex.Driver.analyze_session ~jobs:4 (Cex_session.Session.create g)))
+
+(* A service's stats record the domains its pool can run, not the count
+   asked for: one more job than the machine's cores spawns nothing extra. *)
+let test_stats_jobs_clamped () =
+  let open Cex_service in
+  let g = Spec_parser.grammar_of_string_exn dangling_else in
+  let cores = Cex_session.Pool.default_jobs () in
+  let service = Scheduler.create ~jobs:(cores + 1) () in
+  let _, stats = Scheduler.analyze service g in
+  Alcotest.(check int) "stats.jobs is the clamped count" cores
+    stats.Stats.jobs
 
 (* A worker crash mid-search becomes a structured Search_crashed report for
    that conflict instead of killing the whole batch; the injected trace sink
    raises from inside the product search, where only a conflict analysis
-   (never session construction) can trigger it. The conversion happens in
-   [Driver.analyze_conflict] itself, so a direct call returns the report
-   too. *)
+   (never session construction) can trigger it, on either of two domains.
+   The conversion happens in [Driver.analyze_conflict] itself, so a direct
+   call returns the report too. *)
 let test_crash_becomes_outcome () =
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
@@ -146,7 +166,7 @@ let test_crash_becomes_outcome () =
         if stage = "product.search" then failwith "injected crash")
   in
   let session = Cex_session.Session.create ~trace:bomb g in
-  let report = Cex_service.Scheduler.analyze_session ~jobs:2 session in
+  let report = Cex.Driver.analyze_session ~jobs:2 session in
   let n = List.length report.Cex.Driver.conflict_reports in
   Alcotest.(check bool) "figure1 has conflicts" true (n > 0);
   Alcotest.(check int) "every conflict crashed" n (Cex.Driver.n_crashed report);
@@ -169,17 +189,20 @@ let test_crash_becomes_outcome () =
     | Some msg -> contains ~sub:"injected crash" msg
     | None -> false)
 
+(* The pool behind every fan-out returns results by index and re-raises a
+   worker's exception in the caller. *)
 let test_map_order_and_errors () =
-  let doubled = Cex_service.Scheduler.map ~jobs:3 (fun x -> 2 * x)
-      [ 5; 1; 4; 1; 3 ] in
-  Alcotest.(check (list int)) "order preserved" [ 10; 2; 8; 2; 6 ] doubled;
+  let xs = [| 5; 1; 4; 1; 3 |] in
+  let doubled =
+    Cex_session.Pool.run ~jobs:3 (Array.length xs) (fun i -> 2 * xs.(i))
+  in
+  Alcotest.(check (array int)) "order preserved" [| 10; 2; 8; 2; 6 |] doubled;
   Alcotest.check_raises "worker exceptions surface in the caller"
     (Failure "boom")
     (fun () ->
       ignore
-        (Cex_service.Scheduler.map ~jobs:2
-           (fun x -> if x = 2 then failwith "boom" else x)
-           [ 1; 2; 3 ]))
+        (Cex_session.Pool.run ~jobs:2 3 (fun i ->
+             if i = 1 then failwith "boom" else i)))
 
 (* ------------------------------------------------------------------ *)
 (* JSON. *)
@@ -581,6 +604,7 @@ let suite =
       Alcotest.test_case "determinism-jobs-1-vs-4" `Slow test_determinism;
       Alcotest.test_case "scheduler-matches-driver" `Quick
         test_scheduler_matches_driver;
+      Alcotest.test_case "stats-jobs-clamped" `Quick test_stats_jobs_clamped;
       Alcotest.test_case "crash-becomes-outcome" `Quick
         test_crash_becomes_outcome;
       Alcotest.test_case "map-order-and-errors" `Quick

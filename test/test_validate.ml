@@ -214,7 +214,7 @@ let test_originals_pass () =
 (* A report whose search crashed stays Not_validated; any other outcome
    without a counterexample is flagged. *)
 let test_missing_counterexample () =
-  let session, oracle, report = analyzed Corpus.Paper_grammars.figure1 in
+  let _, oracle, report = analyzed Corpus.Paper_grammars.figure1 in
   match report.Cex.Driver.conflict_reports with
   | [] -> Alcotest.fail "figure1 has conflicts"
   | cr :: _ ->
@@ -223,8 +223,9 @@ let test_missing_counterexample () =
     | Cex.Driver.Validation_failed [ "no-counterexample" ] -> ()
     | _ -> Alcotest.fail "missing counterexample not flagged");
     let crashed =
-      Cex.Driver.crashed_conflict_report session gutted.Cex.Driver.conflict
-        (Failure "boom") ""
+      { gutted with
+        Cex.Driver.outcome = Cex.Driver.Search_crashed;
+        failure = Some "Failure(\"boom\")" }
     in
     (match (Oracle.validate_conflict_report oracle crashed).Cex.Driver.validation with
     | Cex.Driver.Not_validated -> ()
