@@ -48,7 +48,10 @@ let names_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"GRAMMAR" ~doc:"Corpus grammar names (default: all).")
 
 let baseline_arg =
-  Arg.(value & flag & info [ "baseline" ] ~doc:"Also time the CFGAnalyzer-substitute baseline.")
+  Arg.(
+    value & flag
+    & info [ "baseline" ]
+        ~doc:"Also time the CFGAnalyzer-substitute baseline on the BV10 rows.")
 
 let timeout_arg =
   Arg.(value & opt Flags.seconds 5.0 & info [ "timeout" ] ~doc:"Per-conflict limit (s).")

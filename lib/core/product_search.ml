@@ -10,7 +10,7 @@ type costs = {
   off_path : int;
 }
 
-(* Tuned empirically (see bench/main.ml's ablation): making production steps
+(* Tuned empirically (see tools/ablations.ml): making production steps
    markedly dearer than transitions and reductions free orders leaf-heavy
    completions first and shrinks explored configurations by 10-30x on the
    corpus without changing any outcome. *)

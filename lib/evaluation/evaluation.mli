@@ -1,6 +1,5 @@
 (** Regeneration of the paper's evaluation (Table 1 and the section 7.2–7.4
-    claims) over the {!Corpus}. Shared by [bench/main.exe] and
-    [bin/table1.exe]. *)
+    claims) over the {!Corpus}, as [bin/table1.exe] prints it. *)
 
 type row = {
   entry : Corpus.entry;
@@ -18,27 +17,20 @@ type row = {
   misleading_naive : int;
 }
 
-val run_row :
-  ?options:Cex.Driver.options ->
-  ?with_baseline:bool ->
-  ?baseline_budget:float ->
-  Corpus.entry ->
-  row
-(** One row: the entry's conflicts analyzed one after another
-    ({!Cex.Driver.analyze_session} at jobs 1), so its timings are
-    comparable across rows. *)
-
 val run_rows :
-  ?options:Cex.Driver.options ->
-  ?with_baseline:bool ->
-  ?baseline_budget:float ->
+  options:Cex.Driver.options ->
+  with_baseline:bool ->
   ?jobs:int ->
   ?on_row:(row -> unit) ->
   Corpus.entry list ->
   row list
-(** Whole-table runner: {!run_row} on each entry, across [jobs] domains
-    (default 1) of one {!Cex_session.Pool.run}. [on_row] is called as each
-    row completes — from worker domains when [jobs > 1], so it must be
+(** One row per entry, across [jobs] domains (default 1) of one
+    {!Cex_session.Pool.run}. Each row analyzes its entry's conflicts one
+    after another ({!Cex.Driver.analyze_session} at jobs 1), so its timings
+    are comparable across rows. [with_baseline] also times the bounded
+    checker, with 15 s per grammar, on the BV10 rows, the only rows with
+    CFGAnalyzer times in the paper's Table 1. [on_row] is called as each row
+    completes — from worker domains when [jobs > 1], so it must be
     thread-safe. Rows come back in input order. *)
 
 val pp_header : Format.formatter -> unit -> unit

@@ -156,32 +156,30 @@ type conn = {
   fd : Unix.file_descr;
   pending : Buffer.t;  (* the current line's bytes, not yet ended by '\n' *)
   mutable overlong : bool;  (* the current line passed [max_line_bytes] *)
-  mutable closed : bool;
+  mutable eof : bool;  (* no more input; queued lines are still answered *)
+  mutable closed : bool;  (* [fd] is closed *)
 }
 
 let new_conn fd =
-  { fd; pending = Buffer.create 256; overlong = false; closed = false }
+  { fd; pending = Buffer.create 256; overlong = false; eof = false;
+    closed = false }
 
-let write_all conn s =
-  if not conn.closed then
-    let b = Bytes.of_string s in
-    let n = Bytes.length b in
-    let rec go off =
-      if off < n then
-        match Unix.write conn.fd b off (n - off) with
-        | written -> go (off + written)
-        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          conn.closed <- true
-    in
-    try go 0
-    with Unix.Unix_error _ -> conn.closed <- true
-
+(* The one place a connection's fd is closed. *)
 let close_conn conn =
   if not conn.closed then begin
     conn.closed <- true;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
-  else try Unix.close conn.fd with Unix.Unix_error _ -> ()
+
+(* A failed write (EPIPE, ECONNRESET) closes the connection. *)
+let write_all conn s =
+  if not conn.closed then
+    let b = Bytes.of_string s in
+    let n = Bytes.length b in
+    let rec go off =
+      if off < n then go (off + Unix.write conn.fd b off (n - off))
+    in
+    try go 0 with Unix.Unix_error _ -> close_conn conn
 
 (* Add [buf.[start..stop)] to the current line, or drop it once the line is
    over-long. *)
@@ -223,12 +221,12 @@ let read_chunk =
     match Unix.read conn.fd buf 0 size with
     | 0 ->
       (* EOF: a trailing unterminated line still counts as a request. *)
-      conn.closed <- true;
+      conn.eof <- true;
       if conn.overlong || Buffer.length conn.pending > 0 then [ end_line conn ]
       else []
     | n -> take_lines conn buf n
     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-      conn.closed <- true;
+      close_conn conn;
       []
 
 let respond t = function
@@ -243,25 +241,23 @@ let serve_loop t ?listener conns_in =
   | exception (Invalid_argument _ | Sys_error _) -> ());
   let conns = ref (List.map new_conn conns_in) in
   let queue : (float * conn * string option) Queue.t = Queue.create () in
-  let listener_open = ref (Option.is_some listener) in
+  let listener_open = Option.is_some listener in
   let stop = ref false in
   while not !stop do
     (* 1. Wait for input. *)
     let read_fds =
-      (if !listener_open && not t.draining then Option.to_list listener
+      (if listener_open && not t.draining then Option.to_list listener
        else [])
       @ List.filter_map
-          (fun c -> if c.closed then None else Some c.fd)
+          (fun c -> if c.eof || c.closed then None else Some c.fd)
           !conns
     in
-    if read_fds = [] && Queue.is_empty queue then stop := true
+    (* Step 3 of the last pass emptied the queue. *)
+    if read_fds = [] then stop := true
     else begin
       let readable, _, _ =
-        if Queue.is_empty queue then
-          try Unix.select read_fds [] [] 0.5
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        else ([], [], [])
-        (* queued work first; poll for new input on the next pass *)
+        try Unix.select read_fds [] [] 0.5
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
       (* 2. Accept and read. *)
       List.iter
@@ -303,14 +299,16 @@ let serve_loop t ?listener conns_in =
         let response = respond t line in
         write_all conn (Protocol.to_line response)
       done;
-      (* 4. Drop closed connections; finish a drain. *)
+      (* 4. Close the connections at EOF, whose lines are all answered now,
+         and drop every closed one; finish a drain. *)
+      List.iter (fun c -> if c.eof then close_conn c) !conns;
       conns := List.filter (fun c -> not c.closed) !conns;
       if t.draining then begin
         List.iter close_conn !conns;
         conns := [];
         stop := true
       end
-      else if !conns = [] && not !listener_open then stop := true
+      else if !conns = [] && not listener_open then stop := true
     end
   done;
   List.iter close_conn !conns

@@ -54,8 +54,11 @@ val max_line_bytes : int
 val serve_connections : t -> Unix.file_descr list -> unit
 (** Drive an already-connected set of stream sockets to completion: read
     NDJSON requests, answer in arrival order, stop when every connection
-    has closed or a drain completes. This is the in-process entry point
-    used by the tests (over socketpairs) and by {!run}. *)
+    has closed or a drain completes. The server closes each socket: once its
+    peer has stopped sending and every request read from it is answered
+    (a last line without ['\n'] included), when a write to it fails, or at
+    the end of a drain. This is the in-process entry point used by the tests
+    (over socketpairs) and by {!run}. *)
 
 val run : t -> [ `Unix of string | `Tcp of string * int ] -> unit
 (** Bind, listen and serve until a [shutdown] request drains the loop.

@@ -313,6 +313,39 @@ let test_shutting_down_rejects_new_work () =
       check_ok "bye" (recv c);
       check_error (Some "late") "shutting-down" (recv c))
 
+(* Everything the server sends until it closes the connection. Each wait
+   gives up after 3 s, so a server that never answers or never closes fails
+   the test instead of hanging it. *)
+let read_to_eof fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] 3.0 with
+    | [], _, _ -> Alcotest.fail "no bytes and no EOF within 3 s"
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ())
+  in
+  go ()
+
+let test_half_closed_client () =
+  (* The last request has no trailing newline and the client then shuts
+     down its sending side: the request is answered, then the server closes
+     its end. *)
+  with_server ~clients:1 (fun _server clients ->
+      let c = List.hd clients in
+      let ping = {|{"op":"ping","id":"b"}|} in
+      ignore (Unix.write_substring c.fd ping 0 (String.length ping));
+      Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+      match String.split_on_char '\n' (read_to_eof c.fd) with
+      | [ pong; "" ] ->
+        let r = Json.of_string pong in
+        check_ok "b" r;
+        Alcotest.(check bool) "pong" true (bool_at [ "pong" ] r)
+      | _ -> Alcotest.fail "expected one response line, then EOF")
+
 let suite =
   ( "serve",
     [ Alcotest.test_case "request/response golden" `Quick
@@ -330,4 +363,6 @@ let suite =
         test_overload_backpressure;
       Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
       Alcotest.test_case "drain rejects queued new work" `Quick
-        test_shutting_down_rejects_new_work ] )
+        test_shutting_down_rejects_new_work;
+      Alcotest.test_case "half-closed client" `Quick test_half_closed_client
+    ] )
