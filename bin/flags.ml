@@ -25,3 +25,24 @@ let natural = bounded Arg.int ~expected:"at least 0" (fun n -> n >= 0)
 let seconds =
   bounded Arg.float ~expected:"a number of seconds, at least 0" (fun x ->
       x >= 0.0)
+
+(* A TCP endpoint, HOST:PORT; an empty HOST is 127.0.0.1. The port must fit
+   in 16 bits: the socket layer would silently bind a larger one modulo
+   65536. *)
+let host_port =
+  let parse s =
+    let invalid () =
+      Error (`Msg (Fmt.str "invalid value '%s', expected HOST:PORT with a \
+                            PORT from 1 to 65535" s))
+    in
+    match String.rindex_opt s ':' with
+    | None -> invalid ()
+    | Some i -> (
+      let host = String.sub s 0 i in
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some port when port >= 1 && port <= 65535 ->
+        Ok ((if host = "" then "127.0.0.1" else host), port)
+      | _ -> invalid ())
+  in
+  Arg.conv (parse, fun ppf (host, port) -> Fmt.pf ppf "%s:%d" host port)

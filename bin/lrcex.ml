@@ -163,6 +163,19 @@ let load_batch_entries paths use_corpus =
   in
   if errors <> [] then Error (String.concat "\n" errors) else Ok entries
 
+(* The grammar list of batch, validate and lint, as {!grammars_term} gives
+   it to a command: the loaded grammars, or [None] after printing why there
+   are none to [verb] (the command then exits 1). *)
+let load_grammars ~verb ~hint paths use_corpus ~allow_empty =
+  match load_batch_entries paths use_corpus with
+  | Error msg ->
+    Fmt.epr "error: %s@." msg;
+    None
+  | Ok [] when not allow_empty ->
+    Fmt.epr "error: no grammars to %s (pass %s)@." verb hint;
+    None
+  | Ok entries -> Some entries
+
 (* Re-verify a batch result's report through the oracle; the oracle is
    rebuilt from the report's table, so cached reports validate too. *)
 let validate_batch_result (r : Cex_service.Scheduler.batch_result) =
@@ -229,20 +242,14 @@ let run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
   else if lint_error && !lint_failed then 3
   else 0
 
-let run_batch paths use_corpus stress options jobs json trace lint lint_error
-    validate cache_size repeat stream window shard_spec =
-  match
-    ( load_batch_entries paths use_corpus,
-      parse_shard shard_spec )
-  with
-  | Error msg, _ | _, Error msg ->
+let run_batch grammars stress options jobs json trace lint lint_error validate
+    cache_size repeat stream window shard_spec =
+  match (grammars ~allow_empty:(stress > 0), parse_shard shard_spec) with
+  | None, _ -> 1
+  | _, Error msg ->
     Fmt.epr "error: %s@." msg;
     1
-  | Ok [], Ok _ when stress <= 0 ->
-    Fmt.epr
-      "error: no grammars to analyze (pass files, --corpus or --stress N)@.";
-    1
-  | Ok listed, Ok shard ->
+  | Some listed, Ok shard ->
     let entries =
       Seq.append (List.to_seq listed)
         (if stress > 0 then Corpus.Stress.seq stress else Seq.empty)
@@ -347,15 +354,10 @@ let run_batch paths use_corpus stress options jobs json trace lint lint_error
    when conflicts exist — its verdict is about the counterexamples, not the
    grammar — and 4 as soon as one fails the oracle (the CI hard gate). *)
 
-let run_validate paths use_corpus options jobs json =
-  match load_batch_entries paths use_corpus with
-  | Error msg ->
-    Fmt.epr "error: %s@." msg;
-    1
-  | Ok [] ->
-    Fmt.epr "error: no grammars to validate (pass files or --corpus)@.";
-    1
-  | Ok entries ->
+let run_validate grammars options jobs json =
+  match grammars ~allow_empty:false with
+  | None -> 1
+  | Some entries ->
     let service = Cex_service.Scheduler.create ~options ~jobs () in
     let results, stats = Cex_service.Scheduler.analyze_batch service entries in
     let results = List.map validate_batch_result results in
@@ -409,7 +411,7 @@ let print_rule_catalog () =
         r.Cex_lint.Lint.doc)
     Cex_lint.Lint.rules
 
-let run_lint paths use_corpus json enable disable show_rules =
+let run_lint grammars json enable disable show_rules =
   if show_rules then begin
     print_rule_catalog ();
     0
@@ -420,14 +422,9 @@ let run_lint paths use_corpus json enable disable show_rules =
       Fmt.epr "error: %s@." msg;
       1
     | Ok () -> (
-      match load_batch_entries paths use_corpus with
-      | Error msg ->
-        Fmt.epr "error: %s@." msg;
-        1
-      | Ok [] ->
-        Fmt.epr "error: no grammars to lint (pass files or --corpus)@.";
-        1
-      | Ok entries ->
+      match grammars ~allow_empty:false with
+      | None -> 1
+      | Some entries ->
         let enable = if enable = [] then None else Some enable in
         let disable = if disable = [] then None else Some disable in
         let linted =
@@ -483,36 +480,31 @@ let run_lint paths use_corpus json enable disable show_rules =
    lib/serve). And the client command: a scripting/CI helper that replays
    request lines one at a time and prints one response line each. *)
 
-let parse_endpoint socket tcp =
+(* The address of --socket or --tcp, resolved by the server's own
+   resolver for serve and client alike. *)
+let endpoint_addr socket tcp =
   match socket, tcp with
-  | Some path, None -> Ok (`Unix path)
-  | None, Some hostport -> (
-    match String.rindex_opt hostport ':' with
-    | None -> Error "expected HOST:PORT for --tcp"
-    | Some i -> (
-      let host = String.sub hostport 0 i in
-      let port = String.sub hostport (i + 1) (String.length hostport - i - 1) in
-      match int_of_string_opt port with
-      | None -> Error (Fmt.str "invalid port %S" port)
-      | Some port -> Ok (`Tcp ((if host = "" then "127.0.0.1" else host), port))))
+  | Some path, None -> Cex_serve.Server.sockaddr (`Unix path)
+  | None, Some host_port -> Cex_serve.Server.sockaddr (`Tcp host_port)
   | Some _, Some _ -> Error "--socket and --tcp are mutually exclusive"
   | None, None -> Error "one of --socket PATH or --tcp HOST:PORT is required"
 
 let run_serve socket tcp options jobs cache_size cache_shards queue_limit =
-  match parse_endpoint socket tcp with
+  match endpoint_addr socket tcp with
   | Error msg ->
     Fmt.epr "error: %s@." msg;
     1
-  | Ok endpoint -> (
+  | Ok addr -> (
     let server =
       Cex_serve.Server.create ~options ~jobs ~cache_capacity:cache_size
         ~cache_shards ~queue_limit ()
     in
-    (match endpoint with
-    | `Unix path -> Fmt.epr "lrcex serve: listening on %s@." path
-    | `Tcp (host, port) ->
-      Fmt.epr "lrcex serve: listening on %s:%d@." host port);
-    match Cex_serve.Server.run server endpoint with
+    (match addr with
+    | Unix.ADDR_UNIX path -> Fmt.epr "lrcex serve: listening on %s@." path
+    | Unix.ADDR_INET (host, port) ->
+      Fmt.epr "lrcex serve: listening on %s:%d@."
+        (Unix.string_of_inet_addr host) port);
+    match Cex_serve.Server.run server addr with
     | () ->
       Fmt.epr "lrcex serve: drained, exiting@.";
       0
@@ -520,19 +512,10 @@ let run_serve socket tcp options jobs cache_size cache_shards queue_limit =
       Fmt.epr "error: %s(%s): %s@." fn arg (Unix.error_message e);
       1)
 
-let connect_endpoint = function
-  | `Unix path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    fd
-  | `Tcp (host, port) ->
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    let addr =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    Unix.connect fd (Unix.ADDR_INET (addr, port));
-    fd
+let connect addr =
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  Unix.connect fd addr;
+  fd
 
 let write_line fd line =
   let b = Bytes.of_string (line ^ "\n") in
@@ -555,11 +538,11 @@ let normalize_response ~zero_floats line =
     | exception Cex_service.Json.Parse_error _ -> line
 
 let run_client socket tcp script zero_floats =
-  match parse_endpoint socket tcp with
+  match endpoint_addr socket tcp with
   | Error msg ->
     Fmt.epr "error: %s@." msg;
     1
-  | Ok endpoint -> (
+  | Ok addr -> (
     let requests =
       (match script with
       | None -> In_channel.input_all stdin
@@ -567,7 +550,7 @@ let run_client socket tcp script zero_floats =
       |> String.split_on_char '\n'
       |> List.filter (fun l -> String.trim l <> "")
     in
-    match connect_endpoint endpoint with
+    match connect addr with
     | exception Unix.Unix_error (e, fn, arg) ->
       Fmt.epr "error: %s(%s): %s@." fn arg (Unix.error_message e);
       1
@@ -684,6 +667,27 @@ let path_arg =
     & info [] ~docv:"GRAMMAR"
         ~doc:"Grammar file in the yacc-like format ('-' for stdin).")
 
+(* The grammar list of batch, validate and lint: GRAMMAR files and
+   --corpus, loaded by {!load_grammars}. *)
+let grammars_term ~verb ~hint =
+  let paths_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"GRAMMAR"
+          ~doc:"Grammar files in the yacc-like format (zero or more).")
+  in
+  let corpus_arg =
+    Arg.(
+      value & flag
+      & info [ "corpus" ]
+          ~doc:
+            (Fmt.str
+               "Also %s every grammar of the built-in evaluation corpus (the \
+                paper's Table 1)."
+               verb))
+  in
+  Term.(const (load_grammars ~verb ~hint) $ paths_arg $ corpus_arg)
+
 let analyze_term =
   let states_arg =
     Arg.(value & flag & info [ "states" ] ~doc:"Dump the LR(0) automaton first.")
@@ -722,19 +726,6 @@ let analyze_cmd =
     analyze_term
 
 let batch_cmd =
-  let paths_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"GRAMMAR"
-          ~doc:"Grammar files in the yacc-like format (zero or more).")
-  in
-  let corpus_arg =
-    Arg.(
-      value & flag
-      & info [ "corpus" ]
-          ~doc:"Also analyze every grammar of the built-in evaluation corpus \
-                (the paper's Table 1).")
-  in
   let cache_arg =
     Arg.(
       value & opt Flags.count 128
@@ -794,25 +785,14 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch" ~doc)
     Term.(
-      const run_batch $ paths_arg $ corpus_arg $ stress_arg $ options_term
+      const run_batch
+      $ grammars_term ~verb:"analyze" ~hint:"files, --corpus or --stress N"
+      $ stress_arg $ options_term
       $ jobs_arg ~default:1 ~absent:"1" $ json_arg $ trace_arg $ lint_arg
       $ lint_error_arg $ validate_arg $ cache_arg $ repeat_arg $ stream_arg
       $ window_arg $ shard_arg)
 
 let validate_cmd =
-  let paths_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"GRAMMAR"
-          ~doc:"Grammar files in the yacc-like format (zero or more).")
-  in
-  let corpus_arg =
-    Arg.(
-      value & flag
-      & info [ "corpus" ]
-          ~doc:"Also validate every grammar of the built-in evaluation \
-                corpus (the paper's Table 1).")
-  in
   let doc =
     "analyze grammars and machine-check every emitted counterexample \
      through the validation oracle; exits 4 when a counterexample fails a \
@@ -821,22 +801,11 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate" ~doc)
     Term.(
-      const run_validate $ paths_arg $ corpus_arg $ options_term
-      $ jobs_arg ~default:1 ~absent:"1" $ json_arg)
+      const run_validate
+      $ grammars_term ~verb:"validate" ~hint:"files or --corpus"
+      $ options_term $ jobs_arg ~default:1 ~absent:"1" $ json_arg)
 
 let lint_cmd =
-  let paths_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"GRAMMAR"
-          ~doc:"Grammar files in the yacc-like format (zero or more).")
-  in
-  let corpus_arg =
-    Arg.(
-      value & flag
-      & info [ "corpus" ]
-          ~doc:"Also lint every grammar of the built-in evaluation corpus.")
-  in
   let enable_arg =
     Arg.(
       value & opt_all string []
@@ -861,8 +830,9 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint" ~doc)
     Term.(
-      const run_lint $ paths_arg $ corpus_arg $ json_arg $ enable_arg
-      $ disable_arg $ rules_arg)
+      const run_lint
+      $ grammars_term ~verb:"lint" ~hint:"files or --corpus"
+      $ json_arg $ enable_arg $ disable_arg $ rules_arg)
 
 let socket_arg =
   Arg.(
@@ -874,9 +844,10 @@ let socket_arg =
 let tcp_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Flags.host_port) None
     & info [ "tcp" ] ~docv:"HOST:PORT"
-        ~doc:"TCP endpoint to listen on / connect to.")
+        ~doc:"TCP endpoint to listen on / connect to; an empty $(i,HOST) is \
+              127.0.0.1, and $(i,PORT) is 1 to 65535.")
 
 let serve_cmd =
   let shards_arg =

@@ -158,7 +158,7 @@ let build_from lalr =
     resolved_conflicts = List.rev !resolved_conflicts;
     precedence_resolved = !precedence_resolved }
 
-let build ?analysis g = build_from (Lalr.build ?analysis (Lr0.build g))
+let build g = build_from (Lalr.build (Lr0.build g))
 
 let pp_action g ppf = function
   | Shift s -> Fmt.pf ppf "shift %d" s

@@ -11,7 +11,7 @@ type action =
 
 type t
 
-val build : ?analysis:Analysis.t -> Grammar.t -> t
+val build : Grammar.t -> t
 (** Construct the LR(0) automaton, LALR lookaheads, and the table. *)
 
 val build_from : Lalr.t -> t

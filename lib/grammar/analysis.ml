@@ -91,15 +91,8 @@ let mem_follow_l a (p : Grammar.production) ~dot l t =
 (* ------------------------------------------------------------------ *)
 (* Fixpoint computations. *)
 
-(* Each fixpoint below is split into a [fix_*] loop over caller-provided
-   arrays and a [compute_*] wrapper that starts from bottom. The loops are
-   monotone (sets grow, costs shrink) and only update on strict improvement,
-   so {!make_warm} can seed the arrays with the exact fixpoint values of a
-   previous grammar's unaffected nonterminals: exact seeds are stable under
-   iteration, and the loops converge in one verification pass plus however
-   many passes the affected region needs. *)
-
-let fix_nullable g nullable =
+let compute_nullable g =
+  let nullable = Array.make (Grammar.n_nonterminals g) false in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -119,16 +112,15 @@ let fix_nullable g nullable =
         end
       end
     done
-  done
-
-let compute_nullable g =
-  let nullable = Array.make (Grammar.n_nonterminals g) false in
-  fix_nullable g nullable;
+  done;
   nullable
 
 (* Minimal-step epsilon derivations: null_cost.(nt) is the least number of
    production applications needed to derive the empty string. *)
-let fix_null_witness g nullable null_cost null_witness =
+let compute_null_witness g nullable =
+  let n_nt = Grammar.n_nonterminals g in
+  let null_cost = Array.make n_nt infinity_cost in
+  let null_witness = Array.make n_nt None in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -153,16 +145,11 @@ let fix_null_witness g nullable null_cost null_witness =
         end
       end
     done
-  done
-
-let compute_null_witness g nullable =
-  let n_nt = Grammar.n_nonterminals g in
-  let null_cost = Array.make n_nt infinity_cost in
-  let null_witness = Array.make n_nt None in
-  fix_null_witness g nullable null_cost null_witness;
+  done;
   null_cost, null_witness
 
-let fix_first g nullable first =
+let compute_first g nullable =
+  let first = Array.make (Grammar.n_nonterminals g) Bitset.empty in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -187,14 +174,13 @@ let fix_first g nullable first =
       in
       add 0
     done
-  done
-
-let compute_first g nullable =
-  let first = Array.make (Grammar.n_nonterminals g) Bitset.empty in
-  fix_first g nullable first;
+  done;
   first
 
-let fix_min_yield g min_yield min_yield_witness =
+let compute_min_yield g =
+  let n_nt = Grammar.n_nonterminals g in
+  let min_yield = Array.make n_nt infinity_cost in
+  let min_yield_witness = Array.make n_nt None in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -221,18 +207,13 @@ let fix_min_yield g min_yield min_yield_witness =
         changed := true
       end
     done
-  done
-
-let compute_min_yield g =
-  let n_nt = Grammar.n_nonterminals g in
-  let min_yield = Array.make n_nt infinity_cost in
-  let min_yield_witness = Array.make n_nt None in
-  fix_min_yield g min_yield min_yield_witness;
+  done;
   min_yield, min_yield_witness
 
 (* Pure minimal terminal-sentence length (no production-application cost);
    used by enumeration baselines to prune sentential forms. *)
-let fix_min_length g min_length =
+let compute_min_length g =
+  let min_length = Array.make (Grammar.n_nonterminals g) infinity_cost in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -255,11 +236,7 @@ let fix_min_length g min_length =
         changed := true
       end
     done
-  done
-
-let compute_min_length g =
-  let min_length = Array.make (Grammar.n_nonterminals g) infinity_cost in
-  fix_min_length g min_length;
+  done;
   min_length
 
 let compute_reachable g =
@@ -336,8 +313,11 @@ let compute_cyclic g nullable =
 (* front_cost.(nt).(t): least total cost of a leftmost expansion
    nt =>* t . delta, where applying a production costs 1 and deriving a
    leading nonterminal to epsilon costs its null_cost. *)
-let fix_front g nullable null_cost front_cost front_witness =
+let compute_front g nullable null_cost =
+  let n_nt = Grammar.n_nonterminals g in
   let n_t = Grammar.n_terminals g in
+  let front_cost = Array.init n_nt (fun _ -> Array.make n_t infinity_cost) in
+  let front_witness = Array.init n_nt (fun _ -> Array.make n_t None) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -379,14 +359,7 @@ let fix_front g nullable null_cost front_cost front_witness =
          done
        with Exit -> ())
     done
-  done
-
-let compute_front g nullable null_cost =
-  let n_nt = Grammar.n_nonterminals g in
-  let n_t = Grammar.n_terminals g in
-  let front_cost = Array.init n_nt (fun _ -> Array.make n_t infinity_cost) in
-  let front_witness = Array.init n_nt (fun _ -> Array.make n_t None) in
-  fix_front g nullable null_cost front_cost front_witness;
+  done;
   front_cost, front_witness
 
 let make g =
@@ -410,97 +383,6 @@ let make g =
             first_of_seq a rhs ~from:pos))
   in
   { a with suffix_first }
-
-(* ------------------------------------------------------------------ *)
-(* Warm construction: seed the fixpoints from a symbol-compatible base
-   analysis. A nonterminal certified [unchanged] by the caller has a
-   textually identical forward production subgraph in both grammars, so its
-   nullable/FIRST/cost attributes are already at their new-grammar fixpoint
-   values; copying them (with witness production indices remapped) leaves
-   the monotone loops nothing to do for it. Affected nonterminals start from
-   bottom as in {!make}. Reachability (a global property of the start
-   symbol, not of the nonterminal's own subgraph), cyclicity and the
-   per-production suffix-FIRST memo are recomputed outright — they are the
-   cheap passes. *)
-
-type warm_stats = {
-  seeded_nonterminals : int;
-  total_nonterminals : int;
-}
-
-exception Unmappable
-
-let make_warm ~base ~unchanged ~remap_production g =
-  let n_nt = Grammar.n_nonterminals g in
-  let n_t = Grammar.n_terminals g in
-  if
-    Array.length unchanged <> n_nt
-    || Grammar.n_nonterminals base.grammar <> n_nt
-    || Grammar.n_terminals base.grammar <> n_t
-  then invalid_arg "Analysis.make_warm: grammars are not symbol-compatible";
-  let nullable = Array.make n_nt false in
-  let null_cost = Array.make n_nt infinity_cost in
-  let null_witness = Array.make n_nt None in
-  let first = Array.make n_nt Bitset.empty in
-  let min_yield = Array.make n_nt infinity_cost in
-  let min_yield_witness = Array.make n_nt None in
-  let min_length = Array.make n_nt infinity_cost in
-  let front_cost = Array.init n_nt (fun _ -> Array.make n_t infinity_cost) in
-  let front_witness = Array.init n_nt (fun _ -> Array.make n_t None) in
-  let seeded = ref 0 in
-  let remap p =
-    match remap_production p with Some q -> q | None -> raise Unmappable
-  in
-  let seed_nt nt =
-    (* All-or-nothing per nonterminal, and no mutation before every remap
-       has succeeded: a witness production of a certified-unchanged
-       nonterminal lives in its unchanged subgraph, so a remap miss means
-       the certificate was wrong — recompute that nonterminal from bottom
-       instead of seeding it half-right. *)
-    try
-      let nw = Option.map remap base.null_witness.(nt) in
-      let yw = Option.map remap base.min_yield_witness.(nt) in
-      let fw =
-        Array.map
-          (Option.map (fun w -> { w with front_prod = remap w.front_prod }))
-          base.front_witness.(nt)
-      in
-      nullable.(nt) <- base.nullable.(nt);
-      null_cost.(nt) <- base.null_cost.(nt);
-      null_witness.(nt) <- nw;
-      first.(nt) <- base.first.(nt);
-      min_yield.(nt) <- base.min_yield.(nt);
-      min_yield_witness.(nt) <- yw;
-      min_length.(nt) <- base.min_length.(nt);
-      front_cost.(nt) <- Array.copy base.front_cost.(nt);
-      front_witness.(nt) <- fw;
-      incr seeded
-    with Unmappable -> ()
-  in
-  for nt = 0 to n_nt - 1 do
-    if unchanged.(nt) then seed_nt nt
-  done;
-  fix_nullable g nullable;
-  fix_null_witness g nullable null_cost null_witness;
-  fix_first g nullable first;
-  fix_min_yield g min_yield min_yield_witness;
-  fix_min_length g min_length;
-  let reachable = compute_reachable g in
-  let cyclic = compute_cyclic g nullable in
-  fix_front g nullable null_cost front_cost front_witness;
-  let a =
-    { grammar = g; nullable; null_cost; null_witness; first; min_yield;
-      min_yield_witness; min_length; reachable; cyclic; front_cost;
-      front_witness; suffix_first = [||] }
-  in
-  let suffix_first =
-    Array.init (Grammar.n_productions g) (fun p ->
-        let rhs = (Grammar.production g p).Grammar.rhs in
-        Array.init (Array.length rhs + 1) (fun pos ->
-            first_of_seq a rhs ~from:pos))
-  in
-  ( { a with suffix_first },
-    { seeded_nonterminals = !seeded; total_nonterminals = n_nt } )
 
 (* ------------------------------------------------------------------ *)
 (* Witness reconstruction. *)

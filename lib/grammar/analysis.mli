@@ -7,31 +7,6 @@ type t
 val make : Grammar.t -> t
 val grammar : t -> Grammar.t
 
-type warm_stats = {
-  seeded_nonterminals : int;  (** nonterminals seeded from the base *)
-  total_nonterminals : int;
-}
-
-val make_warm :
-  base:t ->
-  unchanged:bool array ->
-  remap_production:(int -> int option) ->
-  Grammar.t ->
-  t * warm_stats
-(** [make_warm ~base ~unchanged ~remap_production g] builds the analysis of
-    [g] by seeding the fixpoint iterations with [base]'s values for every
-    nonterminal [nt] with [unchanged.(nt)]. The caller certifies that [g]
-    and [base]'s grammar have identical symbol tables (same terminal and
-    nonterminal names in the same index order) and that each unchanged
-    nonterminal's entire forward production subgraph — every production
-    reachable from it through right-hand-side nonterminals — is textually
-    identical in both grammars; [remap_production] translates a base
-    production index inside that subgraph to the corresponding index in [g].
-    Seeding with exact fixpoint values and bottom elsewhere preserves the
-    least fixpoint, so the result equals {!make}[ g]; only the iteration
-    count shrinks. A nonterminal whose witness fails to remap is silently
-    recomputed from bottom. *)
-
 val nullable : t -> int -> bool
 (** Can this nonterminal derive the empty string? *)
 

@@ -128,8 +128,10 @@ let analyze_hot ~options ~jobs ?stats t session digest served =
   (report, digest, served)
 
 (* Pick the most production-similar cached session as a reuse base.
-   Candidates below half similarity are not worth diffing: the warm start
-   would reseed almost nothing. *)
+   Candidates below half similarity are not worth it: few of their
+   conflicts' item pairs survive the edit, so few counterexamples could
+   carry over. A base with other symbol tables scores 0.0, so the chosen
+   base always shares the edit's symbols. *)
 let best_base t next_fp =
   Scheduler.fold_sessions
     (fun digest session best ->
@@ -141,25 +143,16 @@ let best_base t next_fp =
       | _ -> best)
     t.scheduler None
 
+(* The session is built exactly as a cold one; only conflict searches are
+   saved, for conflicts whose item pairs survive the edit. *)
 let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
-    ~similarity ~diff ~warm =
+    ~similarity ~remap =
   let clock = Scheduler.clock t.scheduler in
   let t0 = Clock.now clock in
-  (* The warm start is an optimization on top of the delta path, not a
-     precondition: on a fully cyclic grammar an edit invalidates every
-     nonterminal's fixpoints, yet the (much more expensive) conflict
-     searches below can still be skipped for unchanged item pairs. *)
-  let session, seeded_nonterminals =
-    match warm with
-    | Some (analysis, (wstats : Cfg.Analysis.warm_stats)) ->
-      ( Session.create ~clock ~analysis g,
-        wstats.Cfg.Analysis.seeded_nonterminals )
-    | None -> (Session.create ~clock g, 0)
-  in
-  let total_nonterminals = diff.Delta.total_nonterminals in
+  let session = Session.create ~clock g in
+  let total_nonterminals = Cfg.Grammar.n_nonterminals g in
   let trace = Session.trace session in
   Trace.span trace "delta" (Clock.now clock -. t0);
-  Trace.count trace "delta" "seeded_nonterminals" seeded_nonterminals;
   Trace.count trace "delta" "total_nonterminals" total_nonterminals;
   (* Index the base report's conflicts by signature; first match wins and is
      consumed, so duplicated signatures cannot fan one counterexample out to
@@ -175,7 +168,6 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
       base_report.Cex.Driver.conflict_reports
   | None -> ());
   let oracle = lazy (Oracle.of_session session) in
-  let remap = diff.Delta.remap_production in
   let conflicts = Array.of_list (Session.conflicts session) in
   let reused =
     Array.map
@@ -214,7 +206,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
     Delta
       { base_digest;
         similarity;
-        seeded_nonterminals;
+        seeded_nonterminals = 0;
         total_nonterminals;
         reused_conflicts = n_reused;
         searched_conflicts = n_searched } )
@@ -245,14 +237,7 @@ let analyze t ?options ?jobs ?(incremental = true) ?stats g =
         match best_base t next_fp with
         | None -> analyze_cold ~options ~jobs ?stats t g digest
         | Some (base_digest, base_session, base_fp, similarity) ->
-          let diff = Delta.diff ~base:base_fp ~next:next_fp in
-          if not diff.Delta.compatible then
-            analyze_cold ~options ~jobs ?stats t g digest
-          else
-            let warm =
-              Delta.warm_analysis ~base:(Session.analysis base_session) ~diff
-                g
-            in
-            analyze_delta ~options ~jobs ?stats t g digest ~base_digest
-              ~base_session ~similarity ~diff ~warm
+          analyze_delta ~options ~jobs ?stats t g digest ~base_digest
+            ~base_session ~similarity
+            ~remap:(Delta.remap_production ~base:base_fp ~next:next_fp)
       end)

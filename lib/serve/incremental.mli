@@ -7,13 +7,10 @@
     + {e session cache hit} — the session (automaton, table, conflicts) is
       hot, only the conflict searches run;
     + {e delta reuse} — no exact match, but a cached session's grammar is
-      production-level similar ({!Cex_session.Delta}): conflicts whose item
-      pair is textually unchanged reuse the base's {e unifying}
-      counterexamples after the independent oracle re-validates them against
-      the {e new} session, and — when any nonterminal's forward production
-      subgraph survives the edit — the static analysis is warm-started from
-      the base's fixpoints (on a fully cyclic grammar nothing survives, but
-      the conflict reuse above still applies);
+      production-level similar ({!Cex_session.Delta}): the session is built
+      exactly as a cold one, and conflicts whose item pair is textually
+      unchanged reuse the base's {e unifying} counterexamples after the
+      independent oracle re-validates them against the {e new} session;
     + {e cold} — build everything from scratch.
 
     Reuse invariants (also documented in DESIGN.md §14):
@@ -28,7 +25,11 @@
       back to a fresh search for that conflict;
     - conflicts are matched by (kind, terminal name, item texts), never by
       state number, so automaton renumbering cannot smuggle a counterexample
-      onto the wrong conflict. *)
+      onto the wrong conflict.
+
+    A reused counterexample is valid for the new grammar, but it can differ
+    from the one a fresh search finds there; every other conflict is
+    searched as in a cold analysis. *)
 
 type t
 
@@ -41,6 +42,7 @@ type reuse = {
   base_digest : string;  (** content address of the session reused from *)
   similarity : float;  (** {!Cex_session.Delta.similarity} to the base *)
   seeded_nonterminals : int;
+      (** always 0; kept for perfbench's edit-session workload *)
   total_nonterminals : int;
   reused_conflicts : int;
   searched_conflicts : int;
@@ -49,7 +51,8 @@ type reuse = {
 type served =
   | Report_cache  (** finished report returned as-is *)
   | Session_cache  (** hot session, fresh conflict searches *)
-  | Delta of reuse  (** warm analysis seeded from a similar session *)
+  | Delta of reuse
+      (** counterexamples carried over from a similar cached session *)
   | Cold
 
 val served_string : served -> string
@@ -66,8 +69,8 @@ val analyze :
 (** Analyze one grammar, returning the report, its digest and how it was
     served. [incremental:false] (default [true]) disables the delta path —
     the exact-digest caches still apply. The session's trace collector
-    receives a ["delta"] stage (warm-start span plus
-    [seeded_nonterminals] / [reused_conflicts] / [searched_conflicts]
+    receives a ["delta"] stage (a session-build span plus
+    [total_nonterminals] / [reused_conflicts] / [searched_conflicts]
     counters) on the delta path, so the reuse ratio is visible in the
     report's [metrics]. [stats], when given, records the conflict search
     tasks actually dispatched — cache hits and delta-reused conflicts cost

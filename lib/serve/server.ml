@@ -315,27 +315,34 @@ let serve_loop t ?listener conns_in =
 
 let serve_connections t fds = serve_loop t fds
 
-let run t endpoint =
-  let listener, cleanup =
-    match endpoint with
-    | `Unix path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      (fd, fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
-    | `Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      (fd, fun () -> ())
+(* A numeric address is taken as it is, so only a host name reaches the
+   resolver. *)
+let sockaddr = function
+  | `Unix path -> Ok (Unix.ADDR_UNIX path)
+  | `Tcp (host, port) -> (
+    match Unix.inet_addr_of_string host with
+    | addr -> Ok (Unix.ADDR_INET (addr, port))
+    | exception Failure _ -> (
+      match (Unix.gethostbyname host).Unix.h_addr_list with
+      | [||] | (exception Not_found) -> Error (Fmt.str "unknown host %S" host)
+      | addrs -> Ok (Unix.ADDR_INET (addrs.(0), port))))
+
+let run t addr =
+  let unlink () =
+    match addr with
+    | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Unix.ADDR_INET _ -> ()
   in
-  Unix.listen listener 64;
+  let listener =
+    Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close listener with Unix.Unix_error _ -> ());
-      cleanup ())
-    (fun () -> serve_loop t ~listener [])
+      unlink ())
+    (fun () ->
+      unlink ();
+      Unix.setsockopt listener Unix.SO_REUSEADDR true;
+      Unix.bind listener addr;
+      Unix.listen listener 64;
+      serve_loop t ~listener [])

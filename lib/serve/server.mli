@@ -60,6 +60,14 @@ val serve_connections : t -> Unix.file_descr list -> unit
     the end of a drain. This is the in-process entry point used by the tests
     (over socketpairs) and by {!run}. *)
 
-val run : t -> [ `Unix of string | `Tcp of string * int ] -> unit
-(** Bind, listen and serve until a [shutdown] request drains the loop.
-    [`Unix path] unlinks a stale socket file first and removes it on exit. *)
+val sockaddr :
+  [ `Unix of string | `Tcp of string * int ] -> (Unix.sockaddr, string) result
+(** The address of an endpoint, for {!run} and for a client to connect to: a
+    Unix socket path, or a TCP host and port. A numeric IPv4 or IPv6 host is
+    taken as it is; a host name resolves to its first address, and [Error]
+    names a host that resolves to none. *)
+
+val run : t -> Unix.sockaddr -> unit
+(** Bind, listen and serve until a [shutdown] request drains the loop. A
+    Unix socket address unlinks a stale socket file first and removes it on
+    exit. *)

@@ -60,9 +60,9 @@ val report_cache_counters : t -> Cache.counters
 
 val find_session : t -> string -> Cex_session.Session.t option
 val store_session : t -> string -> Cex_session.Session.t -> unit
-(** Direct session-cache access for layers (the analysis server) that
-    build sessions through a different path — delta-aware warm
-    construction — but share this instance's cache and counters. *)
+(** Direct session-cache access for layers (the analysis server's delta
+    path) that build and store sessions themselves but share this
+    instance's cache and counters. *)
 
 val fold_sessions :
   (string -> Cex_session.Session.t -> 'acc -> 'acc) -> t -> 'acc -> 'acc

@@ -4,10 +4,7 @@ type fingerprint = {
   fp_grammar : Grammar.t;
   symbols_digest : string;
   prod_digests : string array;  (* per production index *)
-  nt_digests : string array;  (* per nonterminal: digest of its digest list *)
 }
-
-let grammar fp = fp.fp_grammar
 
 let production_text g p =
   let prod = Grammar.production g p in
@@ -58,16 +55,7 @@ let fingerprint g =
   let prod_digests =
     Array.init n_prods (fun p -> Digest.string (production_text g p))
   in
-  let nt_digests =
-    Array.init (Grammar.n_nonterminals g) (fun nt ->
-        let b = Buffer.create 64 in
-        List.iter
-          (fun p -> Buffer.add_string b prod_digests.(p))
-          (Grammar.productions_of g nt);
-        Digest.string (Buffer.contents b))
-  in
-  { fp_grammar = g; symbols_digest = symbols_digest g; prod_digests;
-    nt_digests }
+  { fp_grammar = g; symbols_digest = symbols_digest g; prod_digests }
 
 let similarity base next =
   if not (String.equal base.symbols_digest next.symbols_digest) then 0.0
@@ -90,102 +78,32 @@ let similarity base next =
     let total = Array.length next.prod_digests in
     if total = 0 then 1.0 else float_of_int !shared /. float_of_int total
 
-type diff = {
-  compatible : bool;
-  changed : bool array;
-  unchanged : bool array;
-  changed_nonterminals : int;
-  unchanged_nonterminals : int;
-  total_nonterminals : int;
-  remap_production : int -> int option;
-}
-
-let count xs = Array.fold_left (fun n b -> if b then n + 1 else n) 0 xs
-
 (* Pair each base production with the k-th occurrence of its digest among
    the same nonterminal's productions in [next], so duplicated rules map
-   stably. *)
-let build_remap ~base ~next =
+   stably. Indices mean nothing across different symbol tables: then no
+   production maps. *)
+let remap_production ~base ~next =
   let gb = base.fp_grammar and gn = next.fp_grammar in
   let map = Array.make (Grammar.n_productions gb) None in
-  for nt = 0 to Grammar.n_nonterminals gb - 1 do
-    let next_prods = Array.of_list (Grammar.productions_of gn nt) in
-    let used = Array.make (Array.length next_prods) false in
-    List.iter
-      (fun pb ->
-        let d = base.prod_digests.(pb) in
-        let found = ref false in
-        Array.iteri
-          (fun i pn ->
-            if
-              (not !found) && (not used.(i))
-              && String.equal next.prod_digests.(pn) d
-            then begin
-              used.(i) <- true;
-              found := true;
-              map.(pb) <- Some pn
-            end)
-          next_prods)
-      (Grammar.productions_of gb nt)
-  done;
-  fun p -> if p < 0 || p >= Array.length map then None else map.(p)
-
-let diff ~base ~next =
-  let gn = next.fp_grammar in
-  let n_nt = Grammar.n_nonterminals gn in
-  let compatible =
-    String.equal base.symbols_digest next.symbols_digest
-    && Grammar.n_nonterminals base.fp_grammar = n_nt
-  in
-  if not compatible then
-    { compatible = false; changed = Array.make n_nt true;
-      unchanged = Array.make n_nt false; changed_nonterminals = n_nt;
-      unchanged_nonterminals = 0; total_nonterminals = n_nt;
-      remap_production = (fun _ -> None) }
-  else begin
-    let changed =
-      Array.init n_nt (fun nt ->
-          not (String.equal base.nt_digests.(nt) next.nt_digests.(nt)))
-    in
-    (* Affected = reaches a changed nonterminal through rhs occurrences in
-       [next]. Out-edges of unchanged nonterminals coincide in both
-       grammars, so reverse reachability in [next] alone certifies the
-       shared forward subgraph. *)
-    let occurs_in = Array.make n_nt [] in
-    for p = 0 to Grammar.n_productions gn - 1 do
-      let prod = Grammar.production gn p in
-      Array.iter
-        (function
-          | Symbol.Nonterminal b ->
-              if not (List.mem prod.Grammar.lhs occurs_in.(b)) then
-                occurs_in.(b) <- prod.Grammar.lhs :: occurs_in.(b)
-          | Symbol.Terminal _ -> ())
-        prod.Grammar.rhs
-    done;
-    let affected = Array.copy changed in
-    let queue = Queue.create () in
-    Array.iteri (fun nt c -> if c then Queue.add nt queue) changed;
-    while not (Queue.is_empty queue) do
-      let b = Queue.pop queue in
+  if String.equal base.symbols_digest next.symbols_digest then
+    for nt = 0 to Grammar.n_nonterminals gb - 1 do
+      let next_prods = Array.of_list (Grammar.productions_of gn nt) in
+      let used = Array.make (Array.length next_prods) false in
       List.iter
-        (fun lhs ->
-          if not affected.(lhs) then begin
-            affected.(lhs) <- true;
-            Queue.add lhs queue
-          end)
-        occurs_in.(b)
+        (fun pb ->
+          let d = base.prod_digests.(pb) in
+          let found = ref false in
+          Array.iteri
+            (fun i pn ->
+              if
+                (not !found) && (not used.(i))
+                && String.equal next.prod_digests.(pn) d
+              then begin
+                used.(i) <- true;
+                found := true;
+                map.(pb) <- Some pn
+              end)
+            next_prods)
+        (Grammar.productions_of gb nt)
     done;
-    let unchanged = Array.map not affected in
-    { compatible = true; changed; unchanged;
-      changed_nonterminals = count changed;
-      unchanged_nonterminals = count unchanged;
-      total_nonterminals = n_nt;
-      remap_production = build_remap ~base ~next }
-  end
-
-let warm_analysis ~base ~diff g =
-  if (not diff.compatible) || diff.unchanged_nonterminals = 0 then None
-  else
-    Some
-      (Analysis.make_warm ~base ~unchanged:diff.unchanged
-         ~remap_production:diff.remap_production g)
+  fun p -> if p < 0 || p >= Array.length map then None else map.(p)

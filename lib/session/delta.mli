@@ -1,21 +1,19 @@
-(** Production-level content addressing and grammar deltas.
+(** Production-level content addressing of grammars.
 
     The whole-spec digest used by the service cache ({!Cex_service.Cache}
     in the service layer) can only answer "is this exactly the grammar I
     already analyzed?". This module addresses grammars at the production
     level so the server can find the {e closest} cached session for an
-    edited spec and decide which parts of its analysis survive the edit.
+    edited spec and carry that session's counterexamples over to the
+    edit's productions.
 
     A {!fingerprint} hashes the symbol tables once and every production
-    individually; {!diff} aligns two compatible fingerprints and certifies,
-    per nonterminal, whether its entire forward production subgraph is
-    textually unchanged — exactly the precondition of
-    {!Cfg.Analysis.make_warm}. *)
+    individually; {!similarity} ranks reuse bases and {!remap_production}
+    renumbers a base's productions into the edited grammar. *)
 
 type fingerprint
 
 val fingerprint : Cfg.Grammar.t -> fingerprint
-val grammar : fingerprint -> Cfg.Grammar.t
 
 val production_text : Cfg.Grammar.t -> int -> string
 (** Canonical one-line rendering of a production — left-hand-side name,
@@ -30,35 +28,9 @@ val similarity : fingerprint -> fingerprint -> float
     symbol tables score [0.0]. Used to rank cached sessions as reuse
     bases. *)
 
-type diff = {
-  compatible : bool;
-      (** identical terminal/nonterminal tables, precedence declarations
-          and start symbol — the precondition for index-based reuse; when
-          false every other field is vacuous *)
-  changed : bool array;
-      (** per [next]-nonterminal: its own production list differs *)
-  unchanged : bool array;
-      (** per [next]-nonterminal: no nonterminal reachable from it (itself
-          included) is changed, i.e. its forward production subgraph is
-          textually identical in both grammars *)
-  changed_nonterminals : int;
-  unchanged_nonterminals : int;
-  total_nonterminals : int;
-  remap_production : int -> int option;
-      (** base production index -> the textually identical production's
-          index in [next]; total on productions of unchanged nonterminals,
-          best-effort (digest + occurrence matching) elsewhere *)
-}
-
-val diff : base:fingerprint -> next:fingerprint -> diff
-
-val warm_analysis :
-  base:Cfg.Analysis.t ->
-  diff:diff ->
-  Cfg.Grammar.t ->
-  (Cfg.Analysis.t * Cfg.Analysis.warm_stats) option
-(** Run {!Cfg.Analysis.make_warm} seeded from [base] under the certificate
-    computed by [diff] (which must have been taken with [base]'s grammar as
-    its [base] side and this grammar as [next]). [None] when the diff is
-    incompatible or nothing is unchanged — callers fall back to the cold
-    {!Cfg.Analysis.make}. *)
+val remap_production :
+  base:fingerprint -> next:fingerprint -> int -> int option
+(** A base production index -> the index of the textually identical
+    production of the same nonterminal in [next] (the k-th copy of a
+    duplicated rule to the k-th), or [None]. Nothing maps when the symbol
+    tables differ. The map is built when [~base ~next] are applied. *)

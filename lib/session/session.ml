@@ -77,10 +77,10 @@ let make ~clock (collector, trace) table =
 let of_table ?(clock = Clock.system) ?trace table =
   make ~clock (sinks trace) table
 
-let create ?(clock = Clock.system) ?trace ?analysis grammar =
+let create ?(clock = Clock.system) ?trace grammar =
   let ((_, sink) as sinks) = sinks trace in
   let t0 = Clock.now clock in
-  let table = Parse_table.build ?analysis grammar in
+  let table = Parse_table.build grammar in
   Trace.span sink "table_build" (Clock.now clock -. t0);
   Trace.count sink "table_build" "states"
     (Lr0.n_states (Parse_table.lr0 table));

@@ -26,9 +26,7 @@ module Store : sig
   (** Mint a fresh key. Two keys never alias, even at the same type. *)
 end
 
-val create :
-  ?clock:Clock.t -> ?trace:Trace.sink -> ?analysis:Cfg.Analysis.t ->
-  Cfg.Grammar.t -> t
+val create : ?clock:Clock.t -> ?trace:Trace.sink -> Cfg.Grammar.t -> t
 (** Build the automaton, parse table, conflicts and conflict
     classifications, emitting ["table_build"] and ["classify"] spans (and
     [states]/[conflicts] counters) into the trace. Defaults: the monotonic

@@ -119,8 +119,8 @@ let prop_accepts_min_sentences =
   QCheck.Test.make ~name:"runner accepts minimal sentences (conflict-free)"
     ~count:100 (QCheck.make Test_analysis.gen_spec) (fun source ->
       let g = Spec_parser.grammar_of_string_exn source in
-      let a = Analysis.make g in
-      let t = Parse_table.build ~analysis:a g in
+      let t = Parse_table.build g in
+      let a = Lalr.analysis (Parse_table.lalr t) in
       if Parse_table.conflicts t <> [] then true
       else if not (Analysis.productive a (Grammar.start g)) then true
       else begin
