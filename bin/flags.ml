@@ -14,7 +14,7 @@ let bounded conv ~expected ok =
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
-(* Jobs, cache entries, window slots, rounds, queue slots and shards. *)
+(* Jobs, cache entries, window slots, rounds and queue slots. *)
 let count = bounded Arg.int ~expected:"at least 1" (fun n -> n >= 1)
 
 (* How many stress grammars to add; none is allowed. *)

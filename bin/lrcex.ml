@@ -185,25 +185,11 @@ let validate_batch_result (r : Cex_service.Scheduler.batch_result) =
       Cex_validate.Oracle.validate_report oracle
         r.Cex_service.Scheduler.report }
 
-(* "I/N" -> (i, n); the digest-based assignment itself is
-   [Scheduler.shard_of]. *)
-let parse_shard = function
-  | None -> Ok None
-  | Some s -> (
-    match String.split_on_char '/' s with
-    | [ i; n ] -> (
-      match (int_of_string_opt i, int_of_string_opt n) with
-      | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (Some (i, n))
-      | _ ->
-        Error (Fmt.str "invalid --shard %s (need 0 <= I < N)" s))
-    | _ -> Error (Fmt.str "invalid --shard %s (expected I/N)" s))
-
 (* The streaming pipeline: one minified NDJSON record per grammar the
    moment its window completes, one final summary record. Validation and
    lint run per grammar inside the emit callback, so nothing about a
    finished grammar is retained beyond its line and the running totals. *)
-let run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
-    ~entries =
+let run_batch_stream service ~window ~lint ~lint_error ~validate ~entries =
   let totals = ref Cex_service.Scheduler.zero_totals in
   let has_conflicts = ref false in
   let oracle_failed = ref false in
@@ -228,13 +214,11 @@ let run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
     flush stdout
   in
   let stats =
-    Cex_service.Scheduler.analyze_batch_emit ~window ?shard service ~emit
-      entries
+    Cex_service.Scheduler.analyze_batch_emit ~window service ~emit entries
   in
   print_string
     (Cex_service.Json.to_string ~minify:true
-       (Cex_service.Json_report.stream_summary_to_json ?shard ~totals:!totals
-          stats));
+       (Cex_service.Json_report.stream_summary_to_json ~totals:!totals stats));
   print_newline ();
   flush stdout;
   if !oracle_failed then 4
@@ -243,13 +227,10 @@ let run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
   else 0
 
 let run_batch grammars stress options jobs json trace lint lint_error validate
-    cache_size repeat stream window shard_spec =
-  match (grammars ~allow_empty:(stress > 0), parse_shard shard_spec) with
-  | None, _ -> 1
-  | _, Error msg ->
-    Fmt.epr "error: %s@." msg;
-    1
-  | Some listed, Ok shard ->
+    cache_size repeat stream window =
+  match grammars ~allow_empty:(stress > 0) with
+  | None -> 1
+  | Some listed ->
     let entries =
       Seq.append (List.to_seq listed)
         (if stress > 0 then Corpus.Stress.seq stress else Seq.empty)
@@ -258,15 +239,14 @@ let run_batch grammars stress options jobs json trace lint lint_error validate
       Cex_service.Scheduler.create ~options ~jobs ~cache_capacity:cache_size ()
     in
     if stream then
-      run_batch_stream service ~window ~shard ~lint ~lint_error ~validate
-        ~entries
+      run_batch_stream service ~window ~lint ~lint_error ~validate ~entries
     else begin
     let entries = List.of_seq entries in
     let results = ref [] in
     let stats = ref None in
     for _ = 1 to repeat do
       let rs, st =
-        Cex_service.Scheduler.analyze_batch ~window ?shard service entries
+        Cex_service.Scheduler.analyze_batch ~window service entries
       in
       results := rs;
       stats := Some st
@@ -489,7 +469,7 @@ let endpoint_addr socket tcp =
   | Some _, Some _ -> Error "--socket and --tcp are mutually exclusive"
   | None, None -> Error "one of --socket PATH or --tcp HOST:PORT is required"
 
-let run_serve socket tcp options jobs cache_size cache_shards queue_limit =
+let run_serve socket tcp options jobs cache_size queue_limit =
   match endpoint_addr socket tcp with
   | Error msg ->
     Fmt.epr "error: %s@." msg;
@@ -497,7 +477,7 @@ let run_serve socket tcp options jobs cache_size cache_shards queue_limit =
   | Ok addr -> (
     let server =
       Cex_serve.Server.create ~options ~jobs ~cache_capacity:cache_size
-        ~cache_shards ~queue_limit ()
+        ~queue_limit ()
     in
     (match addr with
     | Unix.ADDR_UNIX path -> Fmt.epr "lrcex serve: listening on %s@." path
@@ -771,16 +751,6 @@ let batch_cmd =
                 and analyzed together). Per-grammar reports are \
                 byte-identical at any window size.")
   in
-  let shard_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "shard" ] ~docv:"I/N"
-          ~doc:"Analyze only the grammars whose content digest falls in \
-                shard $(docv) (deterministic, process-independent). \
-                Disjoint and covering across I = 0..N-1, so independent \
-                invocations partition a corpus; per-shard $(b,--stream) \
-                summary records merge with tools/merge_shards.")
-  in
   let doc = "analyze many grammars through the batch service" in
   Cmd.v
     (Cmd.info "batch" ~doc)
@@ -790,7 +760,7 @@ let batch_cmd =
       $ stress_arg $ options_term
       $ jobs_arg ~default:1 ~absent:"1" $ json_arg $ trace_arg $ lint_arg
       $ lint_error_arg $ validate_arg $ cache_arg $ repeat_arg $ stream_arg
-      $ window_arg $ shard_arg)
+      $ window_arg)
 
 let validate_cmd =
   let doc =
@@ -850,12 +820,6 @@ let tcp_arg =
               127.0.0.1, and $(i,PORT) is 1 to 65535.")
 
 let serve_cmd =
-  let shards_arg =
-    Arg.(
-      value & opt Flags.count 4
-      & info [ "cache-shards" ] ~docv:"N"
-          ~doc:"Number of independently locked session-cache shards.")
-  in
   let queue_arg =
     Arg.(
       value & opt Flags.count 64
@@ -879,7 +843,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const run_serve $ socket_arg $ tcp_arg $ options_term
-      $ jobs_arg ~default:1 ~absent:"1" $ cache_arg $ shards_arg $ queue_arg)
+      $ jobs_arg ~default:1 ~absent:"1" $ cache_arg $ queue_arg)
 
 let client_cmd =
   let script_arg =

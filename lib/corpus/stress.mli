@@ -1,8 +1,8 @@
 (** The stress tier: an unbounded, deterministic corpus of productive-by-
     construction grammars generated from fixed seeds — never committed as
-    text. Grammar [i] is a pure function of [i], so every process (CI
-    shards, the soak gate, the bench harness) sees byte-identical grammars
-    without shipping ~10k files.
+    text. Grammar [i] is a pure function of [i], so every process (the CI
+    soak and memory gates, the stress pin, the bench harness) sees
+    byte-identical grammars without shipping ~10k files.
 
     Entries are banded round-robin by {e automaton size} and {e ambiguity}:
     following "On LR(k)-parsers of polynomial size", LR table growth — not

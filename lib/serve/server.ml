@@ -14,10 +14,10 @@ type t = {
   mutable draining : bool;
 }
 
-let create ?options ?jobs ?(cache_capacity = 128) ?(cache_shards = 4)
-    ?(queue_limit = 64) ?(clock = Clock.system) () =
+let create ?options ?jobs ?(cache_capacity = 128) ?(queue_limit = 64)
+    ?(clock = Clock.system) () =
   let scheduler =
-    Scheduler.create ?options ?jobs ~cache_capacity ~cache_shards ~clock ()
+    Scheduler.create ?options ?jobs ~cache_capacity ~cache_shards:4 ~clock ()
   in
   { incr = Incremental.create scheduler;
     stats = Stats.create ~clock ~jobs:(Scheduler.jobs scheduler) ();

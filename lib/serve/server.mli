@@ -20,14 +20,13 @@ val create :
   ?options:Cex.Driver.options ->
   ?jobs:int ->
   ?cache_capacity:int ->
-  ?cache_shards:int ->
   ?queue_limit:int ->
   ?clock:Cex_session.Clock.t ->
   unit ->
   t
-(** Defaults: the scheduler's option/job defaults, cache capacity 128 over
-    [cache_shards] (default 4) shards, [queue_limit] 64 pending requests,
-    monotonic system clock. *)
+(** Defaults: the scheduler's option/job defaults, cache capacity 128
+    (the session cache split into 4 shards), [queue_limit] 64 pending
+    requests, monotonic system clock. *)
 
 val scheduler : t -> Cex_service.Scheduler.t
 val draining : t -> bool

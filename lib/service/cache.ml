@@ -79,12 +79,11 @@ let add_unlocked t key value =
 
 let find t key = with_lock t (fun () -> find_unlocked t key)
 
-(* The build runs outside the lock: a session build takes milliseconds and
-   holding the shard lock across it would stall every same-shard request
-   behind one builder. The price is a benign duplicate-build race — two
-   domains may both miss and both build — resolved on insert: the re-check
-   under the lock keeps the first value (so all callers share one
-   physically-equal value) and counts the discarded build as a race. *)
+(* The build runs outside the lock, so a builder may itself use the cache
+   and a domain sharing it is never stalled behind a build. Two builds of
+   one key are resolved on insert: the re-check under the lock keeps the
+   first value (so all callers share one physically-equal value) and
+   counts the discarded build as a race. *)
 let find_or_build t key build =
   match find t key with
   | Some v -> v
@@ -103,9 +102,9 @@ let find_or_build t key build =
 let set t key value =
   with_lock t (fun () ->
       if Hashtbl.mem t.table key then begin
-        (* The find/build/set call sites only re-store a key after a miss,
-           so a live entry here means another domain built the same digest
-           concurrently: count the duplicate build. *)
+        (* The find/build/set call sites only store a key right after a
+           miss on it, so a live entry here is a duplicate build: count
+           it. *)
         t.races <- t.races + 1;
         let entry = { value; last_used = 0 } in
         touch t entry;
@@ -148,11 +147,11 @@ module Sharded = struct
     let per_shard = max 1 ((capacity + shards - 1) / shards) in
     Array.init shards (fun _ -> create ~capacity:per_shard ())
 
-  let shard_of t key = t.(Hashtbl.hash key mod Array.length t)
+  let shard_for t key = t.(Hashtbl.hash key mod Array.length t)
   let shards t = Array.length t
-  let find t key = find (shard_of t key) key
-  let find_or_build t key build = find_or_build (shard_of t key) key build
-  let set t key value = set (shard_of t key) key value
+  let find t key = find (shard_for t key) key
+  let find_or_build t key build = find_or_build (shard_for t key) key build
+  let set t key value = set (shard_for t key) key value
   let length t = Array.fold_left (fun n s -> n + length s) 0 t
   let counters t = Array.to_list (Array.map counters t)
 

@@ -4,12 +4,13 @@
     digest of the grammar they were derived from, so two textually different
     files describing the same grammar share one cache slot, and re-analysis
     of an unchanged grammar is a pure lookup. Eviction is LRU over a fixed
-    capacity. All operations are thread-safe: a single mutex guards the
-    table, but builders run {e outside} it — a multi-millisecond session
-    build must not stall every other request hashing to the same shard.
-    The price is a benign duplicate-build race (two domains may build the
-    same digest concurrently; the first insert wins and the loser's value
-    is discarded), which is observable through {!counters.races}. *)
+    capacity. Every operation takes the cache's mutex, so a cache can be
+    shared between domains; the batch scheduler and the server use theirs
+    from one domain only (the scheduler's caller around each window's
+    conflict fan-out, the server's dispatcher), never from a pool worker.
+    {!find_or_build} runs its builder {e outside} the mutex; a duplicate
+    build is resolved on insert (the first value wins) and counted in
+    {!counters.races}. *)
 
 type 'a t
 
@@ -18,10 +19,10 @@ type counters = {
   misses : int;
   evictions : int;
   races : int;
-      (** duplicate-build races: an insert found the key already present,
-          meaning another domain built the same value between this
-          domain's miss and its insert (the losing build is discarded in
-          {!find_or_build}, overwritten by {!set}) *)
+      (** inserts that found the key already present: {!find_or_build}
+          discards the later build, {!set} overwrites the entry. The batch
+          scheduler and the server store a key only right after missing
+          it, so they count none. *)
 }
 
 val digest : Cfg.Grammar.t -> string
@@ -42,17 +43,16 @@ val find : 'a t -> string -> 'a option
 val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
 (** [find_or_build t key build] returns the cached value for [key], or runs
     [build] {e outside the lock}, stores its result (evicting the least
-    recently used entry when full), and returns it. If another domain
-    inserted [key] while [build] ran, the already-cached value is returned,
-    the fresh build is discarded, and a race is counted — every caller of
-    the same key sees one (physically) shared value. *)
+    recently used entry when full), and returns it. If [key] was inserted
+    while [build] ran (by [build] itself, or by another domain sharing the
+    cache), the already-cached value is returned, the fresh build is
+    discarded, and a race is counted — every caller of the same key sees
+    one (physically) shared value. *)
 
 val set : 'a t -> string -> 'a -> unit
 (** Insert or replace without touching the hit/miss counters (used when the
     caller has already recorded the miss); eviction is still counted.
-    Replacing a live entry counts a {!counters.races} — at the
-    find/build/set call sites (batch scheduler, incremental server) a
-    replacement means two domains built the same digest concurrently. *)
+    Replacing a live entry counts a {!counters.races}. *)
 
 val counters : 'a t -> counters
 val clear : 'a t -> unit
@@ -68,10 +68,10 @@ val pp_counters : Format.formatter -> counters -> unit
 val zero_counters : counters
 val sum_counters : counters list -> counters
 
-(** A fixed array of independent caches addressed by key hash, so domains
-    racing on different grammars contend on different locks and eviction
-    pressure is localized. [capacity] is the total across shards (split
-    evenly, each shard at least 1). *)
+(** A fixed array of independent caches addressed by key hash, each with
+    its own lock, counters and LRU order, so eviction pressure is
+    localized. [capacity] is the total across shards (split evenly, each
+    shard at least 1). *)
 module Sharded : sig
   type 'a t
 

@@ -1,7 +1,7 @@
 open Cfg
 open Automaton
 
-let schema_version = 7
+let schema_version = 8
 
 let outcome_string = function
   | Cex.Driver.Found_unifying -> "found_unifying"
@@ -243,15 +243,10 @@ let totals_to_json (t : Scheduler.totals) =
       ("invalid", Json.Int t.Scheduler.total_invalid);
       ("from_cache", Json.Int t.Scheduler.total_from_cache) ]
 
-let stream_summary_to_json ?shard ~totals stats =
+let stream_summary_to_json ~totals stats =
   Json.Obj
     [ ("record", Json.String "summary");
       ("schema_version", Json.Int schema_version);
-      ( "shard",
-        match shard with
-        | None -> Json.Null
-        | Some (i, n) ->
-          Json.Obj [ ("index", Json.Int i); ("count", Json.Int n) ] );
       ("totals", totals_to_json totals);
       ("stats", stats_to_json stats) ]
 

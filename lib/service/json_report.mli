@@ -4,7 +4,7 @@
     Schema sketch (stable keys, see the golden tests):
 
     {v
-    { "schema_version": 7,
+    { "schema_version": 8,
       "stats": { "jobs", "grammars", "conflicts", "wall_seconds",
                  "max_queue_depth", "stages": {...},
                  "cache": { "sessions": {"hits","misses","evictions"},
@@ -35,7 +35,7 @@
     diagnostic object shape:
 
     {v
-    { "schema_version": 7,
+    { "schema_version": 8,
       "summary": { "grammars", "diagnostics", "errors", "warnings", "infos",
                    "conflicts", "unclassified_conflicts",
                    "codes": { "<rule-code>": count, ... } },
@@ -49,7 +49,8 @@
     v} *)
 
 val schema_version : int
-(** Version 7: conflict objects no longer carry ["engine"]; the product
+(** Version 8: the stream summary record has no ["shard"] key.
+    Version 7: conflict objects no longer carry ["engine"]; the product
     search is the only engine, and its stages keep the names
     ["product.search"] and ["product.nonunifying"] in ["metrics"].
     Version 6: cache counter objects gain ["races"] (duplicate-build
@@ -106,13 +107,12 @@ val stream_grammar_to_json :
 
 val totals_to_json : Scheduler.totals -> Json.t
 
-val stream_summary_to_json :
-  ?shard:int * int -> totals:Scheduler.totals -> Stats.summary -> Json.t
-(** The final record: [{ "record": "summary", "schema_version", "shard":
-    null | {"index","count"}, "totals": {...}, "stats": {...} }]. The
-    ["totals"] object is the deterministic additive slice a shard merge
-    sums; ["stats"] matches the non-streamed document's ["stats"] key
-    byte-for-byte (after float zeroing). *)
+val stream_summary_to_json : totals:Scheduler.totals -> Stats.summary -> Json.t
+(** The final record: [{ "record": "summary", "schema_version",
+    "totals": {...}, "stats": {...} }]. The ["totals"] object is the run's
+    deterministic outcome totals ({!Scheduler.totals}); ["stats"] matches
+    the non-streamed document's ["stats"] key byte-for-byte (after float
+    zeroing). *)
 
 val lint_to_json :
   (string * Automaton.Parse_table.t * Cex_lint.Lint.report) list -> Json.t

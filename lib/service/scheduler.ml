@@ -43,19 +43,6 @@ type batch_result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic sharding: a grammar belongs to shard
-   [int(first 8 hex digits of its digest) mod n]. The digest is stable
-   across processes and OCaml versions (unlike [Hashtbl.hash]), so any two
-   runs over the same corpus partition it identically — `--shard 0/2` and
-   `--shard 1/2` in separate processes are disjoint and covering. *)
-
-let shard_of ~digest ~shards =
-  if shards <= 1 then 0
-  else
-    let prefix = String.sub digest 0 (min 8 (String.length digest)) in
-    int_of_string ("0x" ^ prefix) mod shards
-
-(* ------------------------------------------------------------------ *)
 (* The windowed batch pipeline.
 
    Grammars stream through a bounded in-flight window: each window of [w]
@@ -152,30 +139,16 @@ let process_window t ~stats ~emit entries =
           { name; digest; report = reports.(i); from_cache = true }))
     prepared
 
-let analyze_batch_emit ?(window = default_window) ?shard t ~emit entries =
+let analyze_batch_emit ?(window = default_window) t ~emit entries =
   let window = max 1 window in
-  (match shard with
-  | Some (i, n) when n < 1 || i < 0 || i >= n ->
-    invalid_arg
-      (Fmt.str "Scheduler.analyze_batch_emit: invalid shard %d/%d" i n)
-  | _ -> ());
   let stats = Stats.create ~clock:t.clock ~jobs:t.jobs () in
-  let in_shard digest =
-    match shard with
-    | None -> true
-    | Some (i, n) -> shard_of ~digest ~shards:n = i
-  in
-  (* Pull the next window of in-shard entries; grammars outside the shard
-     are skipped without building anything. *)
   let rec fill acc k seq =
     if k = 0 then (List.rev acc, seq)
     else
       match Seq.uncons seq with
       | None -> (List.rev acc, Seq.empty)
       | Some ((name, g), rest) ->
-        let digest = Cache.digest g in
-        if in_shard digest then fill ((name, g, digest) :: acc) (k - 1) rest
-        else fill acc k rest
+        fill ((name, g, Cache.digest g) :: acc) (k - 1) rest
   in
   let rec loop seq =
     match fill [] window seq with
@@ -190,10 +163,10 @@ let analyze_batch_emit ?(window = default_window) ?shard t ~emit entries =
     ~session_shards:(session_shard_counters t)
     ~report_cache:(Cache.counters t.reports)
 
-let analyze_batch ?window ?shard t entries =
+let analyze_batch ?window t entries =
   let acc = ref [] in
   let stats =
-    analyze_batch_emit ?window ?shard t
+    analyze_batch_emit ?window t
       ~emit:(fun r -> acc := r :: !acc)
       (List.to_seq entries)
   in
@@ -205,9 +178,9 @@ let analyze t ?(name = "grammar") g =
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Mergeable outcome totals: the deterministic, additive slice of a batch
-   run. Per-shard summaries carry these so `tools/merge_shards.exe` can
-   check that sharded runs add up to the unsharded run exactly. *)
+(* Outcome totals: the deterministic slice of a batch run, grammar and
+   outcome counts with no timings or cache counters, so under
+   deterministic budgets two runs of the same batch agree on them. *)
 
 type totals = {
   total_grammars : int;

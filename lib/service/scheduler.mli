@@ -38,10 +38,13 @@ val create :
   t
 (** [clock] (default the monotonic system clock) drives every deadline and
     stage timing of the service; inject a fake for deterministic timeout
-    tests. [cache_shards] (default 1) splits the session cache into
-    independently locked LRU shards addressed by digest hash — the server
-    raises it so concurrent requests on different grammars do not contend
-    on one cache lock; [cache_capacity] is the total across shards. *)
+    tests. [cache_shards] (default 1) splits the session cache into LRU
+    shards addressed by digest hash, each with its own lock, counters and
+    an even share of [cache_capacity], which is the total across shards;
+    the server uses 4. Only the domain that calls the service touches its
+    caches, never a pool worker, so the shard count relieves no lock
+    contention: it decides which sessions evict which, and how many
+    counter blocks the stats report. *)
 
 val jobs : t -> int
 (** The worker domains the service runs: the requested count clamped by
@@ -85,15 +88,8 @@ type batch_result = {
 val default_window : int
 (** Default in-flight window of {!analyze_batch_emit} (32). *)
 
-val shard_of : digest:string -> shards:int -> int
-(** Deterministic shard assignment: the integer value of the digest's
-    first 8 hex digits modulo [shards]. Stable across processes, OCaml
-    versions and machines, so independent runs partition a corpus into
-    disjoint, covering shards. [shards <= 1] always yields shard 0. *)
-
 val analyze_batch_emit :
   ?window:int ->
-  ?shard:int * int ->
   t ->
   emit:(batch_result -> unit) ->
   (string * Cfg.Grammar.t) Seq.t ->
@@ -115,15 +111,12 @@ val analyze_batch_emit :
     equal) report of its fresh twin in O(1); a cross-window duplicate is
     served from the report cache.
 
-    [shard = (i, n)] analyzes only the grammars with
-    [shard_of ~digest ~shards:n = i]; the others are skipped before any
-    session is built and appear in no stats. A worker exception while
-    searching one conflict degrades to a {!Cex.Driver.Search_crashed}
-    report for that conflict alone — the rest of the batch completes. *)
+    A worker exception while searching one conflict degrades to a
+    {!Cex.Driver.Search_crashed} report for that conflict alone — the rest
+    of the batch completes. *)
 
 val analyze_batch :
   ?window:int ->
-  ?shard:int * int ->
   t ->
   (string * Cfg.Grammar.t) list ->
   batch_result list * Stats.summary
@@ -136,11 +129,12 @@ val analyze :
   t -> ?name:string -> Cfg.Grammar.t -> batch_result * Stats.summary
 (** [analyze_batch] on a single grammar. *)
 
-(** {1 Mergeable totals}
+(** {1 Outcome totals}
 
-    The deterministic, additive slice of a batch run: summed outcome
-    counts that per-shard summary records carry so separate shard
-    processes can be merged and checked against an unsharded run. *)
+    The run's deterministic outcome totals: grammar and outcome counts
+    summed over its results, with no timings or cache counters, so under
+    deterministic budgets two runs of the same batch agree on them. The
+    stream summary record carries them ({!Json_report.totals_to_json}). *)
 
 type totals = {
   total_grammars : int;

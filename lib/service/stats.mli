@@ -1,8 +1,10 @@
 (** Operational metrics for a service run: per-stage cumulative timings,
-    scheduler queue depth, and throughput counters. A collector is mutated
-    concurrently by the worker domains (mutex-guarded) and frozen into an
-    immutable {!summary} when the run completes. All wall-clock reads go
-    through the injected {!Cex_session.Clock}. *)
+    scheduler queue depth, and throughput counters. A collector is updated
+    by the domain that drives the run (the batch scheduler's caller before
+    and after each window's conflict fan-out, or the server's dispatcher),
+    never by pool workers; every update still takes its mutex. It is
+    frozen into an immutable {!summary} when the run completes. All
+    wall-clock reads go through the injected {!Cex_session.Clock}. *)
 
 type t
 

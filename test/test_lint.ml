@@ -238,9 +238,9 @@ let test_corpus_json_roundtrip () =
   let s = corpus_json_string () in
   let json = Cex_service.Json.of_string s in
   Alcotest.(check bool)
-    "schema_version 7" true
+    "schema_version 8" true
     (Cex_service.Json.member "schema_version" json
-    = Some (Cex_service.Json.Int 7));
+    = Some (Cex_service.Json.Int 8));
   Alcotest.(check string)
     "serialization is a fixed point" s
     (Cex_service.Json.to_string json ^ "\n");

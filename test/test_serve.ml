@@ -15,11 +15,8 @@ type client = {
   ic : in_channel;
 }
 
-let with_server ?options ?clock ?(jobs = 1) ?(cache_shards = 2)
-    ?(queue_limit = 64) ~clients f =
-  let server =
-    Server.create ?options ?clock ~jobs ~cache_shards ~queue_limit ()
-  in
+let with_server ?options ?clock ?(jobs = 1) ?(queue_limit = 64) ~clients f =
+  let server = Server.create ?options ?clock ~jobs ~queue_limit () in
   let pairs =
     List.init clients (fun _ ->
         Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
@@ -207,7 +204,7 @@ let test_cache_hit_on_identical_spec () =
         (int_at [ "stats"; "cache"; "reports"; "hits" ] s);
       match at [ "stats"; "cache"; "session_shards" ] s with
       | Some (Json.List shards) ->
-        Alcotest.(check int) "one counter block per shard" 2
+        Alcotest.(check int) "one counter block per shard" 4
           (List.length shards);
         Alcotest.(check int) "shard misses sum to the aggregate"
           (int_at [ "stats"; "cache"; "sessions"; "misses" ] s)

@@ -259,7 +259,7 @@ let test_json_parser () =
 
 let golden =
   {|{
-  "schema_version": 7,
+  "schema_version": 8,
   "stats": {
     "jobs": 1,
     "grammars": 1,
@@ -457,34 +457,6 @@ let test_build_outside_lock () =
   Alcotest.(check int) "duplicate build counted as a race" 1
     (Cache.counters c).Cache.races
 
-(* shard_of: deterministic, in range, and the shards partition any corpus
-   (disjoint by construction — it is a function — and covering). *)
-let test_shard_partition () =
-  let open Cex_service in
-  let digests =
-    List.init 64 (fun i ->
-        Cache.digest (snd (Corpus.Stress.entry i)))
-  in
-  let n = 4 in
-  let assignment = List.map (fun d -> Scheduler.shard_of ~digest:d ~shards:n) digests in
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "shard in range" true (s >= 0 && s < n))
-    assignment;
-  Alcotest.(check (list int)) "assignment is deterministic" assignment
-    (List.map (fun d -> Scheduler.shard_of ~digest:d ~shards:n) digests);
-  let population = List.init n (fun s ->
-      List.length (List.filter (fun s' -> s' = s) assignment)) in
-  Alcotest.(check int) "shards cover the corpus" (List.length digests)
-    (List.fold_left ( + ) 0 population);
-  Alcotest.(check bool) "no shard is empty over 64 grammars" true
-    (List.for_all (fun p -> p > 0) population);
-  List.iter
-    (fun d ->
-      Alcotest.(check int) "one shard degenerates to 0" 0
-        (Scheduler.shard_of ~digest:d ~shards:1))
-    digests
-
 let stress_entries n = List.of_seq (Corpus.Stress.seq n)
 
 (* Deterministic budgets: effectively-infinite wall clocks plus a config
@@ -566,35 +538,6 @@ let test_duplicate_shares_report () =
       (Scheduler.session_cache_counters service)
   | _ -> Alcotest.fail "expected three results"
 
-(* Sharded runs partition the batch: together they analyze every grammar
-   exactly once and their mergeable totals sum to the unsharded run's. *)
-let test_shard_runs_partition () =
-  let open Cex_service in
-  let entries = stress_entries 12 in
-  let run shard =
-    let service = Scheduler.create ~options:fast_options ~jobs:2 () in
-    fst (Scheduler.analyze_batch ?shard service entries)
-  in
-  let full = run None in
-  let s0 = run (Some (0, 2)) and s1 = run (Some (1, 2)) in
-  Alcotest.(check int) "shards cover the batch"
-    (List.length full)
-    (List.length s0 + List.length s1);
-  let names rs = List.map (fun r -> r.Scheduler.name) rs in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) "disjoint" false
-        (List.mem n (names s0) && List.mem n (names s1)))
-    (names full);
-  let totals rs =
-    let t = List.fold_left Scheduler.add_totals Scheduler.zero_totals rs in
-    [ t.Scheduler.total_grammars; t.Scheduler.total_conflicts;
-      t.Scheduler.total_unifying; t.Scheduler.total_nonunifying ]
-  in
-  Alcotest.(check (list int)) "merged totals equal the unsharded run"
-    (totals full)
-    (List.map2 ( + ) (totals s0) (totals s1))
-
 let suite =
   ( "service",
     [ Alcotest.test_case "cache-counters" `Quick test_cache_counters;
@@ -616,11 +559,8 @@ let suite =
       Alcotest.test_case "sharded-counter-aggregation" `Quick
         test_sharded_counter_aggregation;
       Alcotest.test_case "build-outside-lock" `Quick test_build_outside_lock;
-      Alcotest.test_case "shard-partition" `Quick test_shard_partition;
       Alcotest.test_case "max-live-sessions-bounded" `Quick
         test_max_live_sessions_bounded;
       Alcotest.test_case "stream-equals-batch" `Quick test_stream_equals_batch;
       Alcotest.test_case "duplicate-shares-report" `Quick
-        test_duplicate_shares_report;
-      Alcotest.test_case "shard-runs-partition" `Quick
-        test_shard_runs_partition ] )
+        test_duplicate_shares_report ] )
