@@ -885,7 +885,6 @@ let cmd =
    file, as the original single-command CLI did. cmdliner groups would
    otherwise reject the unknown "command". *)
 let () =
-  Cex_session.Pool.tune_gc ();
   let argv = Sys.argv in
   let argv =
     if

@@ -124,7 +124,7 @@ let note_tasks stats n =
 let analyze_hot ~options ~jobs ?stats t session digest served =
   note_tasks stats (List.length (Session.conflicts session));
   let report = Cex.Driver.analyze_session ~options ~jobs session in
-  Scheduler.store_report t.scheduler digest report;
+  Scheduler.store_report t.scheduler ~options digest report;
   (report, digest, served)
 
 (* Pick the most production-similar cached session as a reuse base.
@@ -158,7 +158,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
      consumed, so duplicated signatures cannot fan one counterexample out to
      several conflicts. *)
   let base_index = Hashtbl.create 16 in
-  (match Scheduler.find_report t.scheduler base_digest with
+  (match Scheduler.find_report t.scheduler ~options base_digest with
   | Some base_report ->
     let base_g = Session.grammar base_session in
     List.iter
@@ -200,7 +200,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
        [| { Cex.Driver.session; spent; held = reused } |]).(0)
   in
   Scheduler.store_session t.scheduler digest session;
-  Scheduler.store_report t.scheduler digest report;
+  Scheduler.store_report t.scheduler ~options digest report;
   ( report,
     digest,
     Delta
@@ -223,7 +223,7 @@ let analyze t ?options ?jobs ?(incremental = true) ?stats g =
   in
   let jobs = Option.value ~default:(Scheduler.jobs t.scheduler) jobs in
   let digest = Cache.digest g in
-  match Scheduler.find_report t.scheduler digest with
+  match Scheduler.find_report t.scheduler ~options digest with
   | Some report -> (report, digest, Report_cache)
   | None -> (
     match Scheduler.find_session t.scheduler digest with

@@ -3,7 +3,8 @@
     Every grammar that reaches the server goes through {!analyze}, which
     picks the cheapest sound path to a full {!Cex.Driver.report}:
 
-    + {e report cache hit} — the digest already has a finished report;
+    + {e report cache hit} — the digest already has a finished report,
+      searched under the same options;
     + {e session cache hit} — the session (automaton, table, conflicts) is
       hot, only the conflict searches run;
     + {e delta reuse} — no exact match, but a cached session's grammar is

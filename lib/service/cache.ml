@@ -2,7 +2,6 @@ type counters = {
   hits : int;
   misses : int;
   evictions : int;
-  races : int;
 }
 
 type 'a entry = {
@@ -18,7 +17,6 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable races : int;
 }
 
 let digest g = Digest.to_hex (Digest.string (Cfg.Export.to_spec g))
@@ -30,8 +28,7 @@ let create ?(capacity = 128) () =
     tick = 0;
     hits = 0;
     misses = 0;
-    evictions = 0;
-    races = 0 }
+    evictions = 0 }
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -79,43 +76,16 @@ let add_unlocked t key value =
 
 let find t key = with_lock t (fun () -> find_unlocked t key)
 
-(* The build runs outside the lock, so a builder may itself use the cache
-   and a domain sharing it is never stalled behind a build. Two builds of
-   one key are resolved on insert: the re-check under the lock keeps the
-   first value (so all callers share one physically-equal value) and
-   counts the discarded build as a race. *)
-let find_or_build t key build =
-  match find t key with
-  | Some v -> v
-  | None -> (
-    let v = build () in
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some entry ->
-          t.races <- t.races + 1;
-          touch t entry;
-          entry.value
-        | None ->
-          add_unlocked t key v;
-          v))
-
+(* Removing a live entry first keeps its replacement from evicting
+   another. *)
 let set t key value =
   with_lock t (fun () ->
-      if Hashtbl.mem t.table key then begin
-        (* The find/build/set call sites only store a key right after a
-           miss on it, so a live entry here is a duplicate build: count
-           it. *)
-        t.races <- t.races + 1;
-        let entry = { value; last_used = 0 } in
-        touch t entry;
-        Hashtbl.replace t.table key entry
-      end
-      else add_unlocked t key value)
+      Hashtbl.remove t.table key;
+      add_unlocked t key value)
 
 let counters t =
   with_lock t (fun () ->
-      { hits = t.hits; misses = t.misses; evictions = t.evictions;
-        races = t.races })
+      { hits = t.hits; misses = t.misses; evictions = t.evictions })
 
 let clear t = with_lock t (fun () -> Hashtbl.reset t.table)
 
@@ -124,18 +94,16 @@ let fold f t init =
       Hashtbl.fold (fun key entry acc -> f key entry.value acc) t.table init)
 
 let pp_counters ppf (c : counters) =
-  Fmt.pf ppf "%d hits, %d misses, %d evictions, %d races" c.hits c.misses
-    c.evictions c.races
+  Fmt.pf ppf "%d hits, %d misses, %d evictions" c.hits c.misses c.evictions
 
-let zero_counters = { hits = 0; misses = 0; evictions = 0; races = 0 }
+let zero_counters = { hits = 0; misses = 0; evictions = 0 }
 
 let sum_counters cs =
   List.fold_left
     (fun (acc : counters) (c : counters) : counters ->
       { hits = acc.hits + c.hits;
         misses = acc.misses + c.misses;
-        evictions = acc.evictions + c.evictions;
-        races = acc.races + c.races })
+        evictions = acc.evictions + c.evictions })
     zero_counters cs
 
 module Sharded = struct
@@ -150,7 +118,6 @@ module Sharded = struct
   let shard_for t key = t.(Hashtbl.hash key mod Array.length t)
   let shards t = Array.length t
   let find t key = find (shard_for t key) key
-  let find_or_build t key build = find_or_build (shard_for t key) key build
   let set t key value = set (shard_for t key) key value
   let length t = Array.fold_left (fun n s -> n + length s) 0 t
   let counters t = Array.to_list (Array.map counters t)

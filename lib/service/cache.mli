@@ -7,10 +7,7 @@
     capacity. Every operation takes the cache's mutex, so a cache can be
     shared between domains; the batch scheduler and the server use theirs
     from one domain only (the scheduler's caller around each window's
-    conflict fan-out, the server's dispatcher), never from a pool worker.
-    {!find_or_build} runs its builder {e outside} the mutex; a duplicate
-    build is resolved on insert (the first value wins) and counted in
-    {!counters.races}. *)
+    conflict fan-out, the server's dispatcher), never from a pool worker. *)
 
 type 'a t
 
@@ -18,11 +15,6 @@ type counters = {
   hits : int;
   misses : int;
   evictions : int;
-  races : int;
-      (** inserts that found the key already present: {!find_or_build}
-          discards the later build, {!set} overwrites the entry. The batch
-          scheduler and the server store a key only right after missing
-          it, so they count none. *)
 }
 
 val digest : Cfg.Grammar.t -> string
@@ -40,19 +32,10 @@ val length : 'a t -> int
 val find : 'a t -> string -> 'a option
 (** Lookup, refreshing the entry's recency and counting a hit or a miss. *)
 
-val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
-(** [find_or_build t key build] returns the cached value for [key], or runs
-    [build] {e outside the lock}, stores its result (evicting the least
-    recently used entry when full), and returns it. If [key] was inserted
-    while [build] ran (by [build] itself, or by another domain sharing the
-    cache), the already-cached value is returned, the fresh build is
-    discarded, and a race is counted — every caller of the same key sees
-    one (physically) shared value. *)
-
 val set : 'a t -> string -> 'a -> unit
 (** Insert or replace without touching the hit/miss counters (used when the
     caller has already recorded the miss); eviction is still counted.
-    Replacing a live entry counts a {!counters.races}. *)
+    Replacing a live entry evicts nothing. *)
 
 val counters : 'a t -> counters
 val clear : 'a t -> unit
@@ -80,7 +63,6 @@ module Sharded : sig
 
   val shards : 'a t -> int
   val find : 'a t -> string -> 'a option
-  val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
   val set : 'a t -> string -> 'a -> unit
   val length : 'a t -> int
 

@@ -1,7 +1,7 @@
 open Cfg
 open Automaton
 
-let schema_version = 8
+let schema_version = 9
 
 let outcome_string = function
   | Cex.Driver.Found_unifying -> "found_unifying"
@@ -161,8 +161,7 @@ let counters_to_json (c : Cache.counters) =
   Json.Obj
     [ ("hits", Json.Int c.Cache.hits);
       ("misses", Json.Int c.Cache.misses);
-      ("evictions", Json.Int c.Cache.evictions);
-      ("races", Json.Int c.Cache.races) ]
+      ("evictions", Json.Int c.Cache.evictions) ]
 
 let stats_to_json (s : Stats.summary) =
   Json.Obj

@@ -4,7 +4,7 @@
     Schema sketch (stable keys, see the golden tests):
 
     {v
-    { "schema_version": 8,
+    { "schema_version": 9,
       "stats": { "jobs", "grammars", "conflicts", "wall_seconds",
                  "max_queue_depth", "stages": {...},
                  "cache": { "sessions": {"hits","misses","evictions"},
@@ -35,7 +35,7 @@
     diagnostic object shape:
 
     {v
-    { "schema_version": 8,
+    { "schema_version": 9,
       "summary": { "grammars", "diagnostics", "errors", "warnings", "infos",
                    "conflicts", "unclassified_conflicts",
                    "codes": { "<rule-code>": count, ... } },
@@ -49,7 +49,8 @@
     v} *)
 
 val schema_version : int
-(** Version 8: the stream summary record has no ["shard"] key.
+(** Version 9: cache counter objects have no ["races"] key.
+    Version 8: the stream summary record has no ["shard"] key.
     Version 7: conflict objects no longer carry ["engine"]; the product
     search is the only engine, and its stages keep the names
     ["product.search"] and ["product.nonunifying"] in ["metrics"].

@@ -9,15 +9,24 @@ let default_jobs () = Cex_session.Pool.default_jobs ()
 
 type t = {
   options : Cex.Driver.options;
+  options_key : string;  (* [options_key options] *)
   jobs : int;
   clock : Clock.t;
   sessions : Session.t Cache.Sharded.t;
   reports : Cex.Driver.report Cache.t;
 }
 
+(* A finished report depends on the options it was searched under as well as
+   on the grammar, so the report cache keys it by both. Options are plain
+   data, so their bytes marshalled without sharing identify them, and an
+   option added later joins the key by itself. *)
+let options_key (options : Cex.Driver.options) =
+  Digest.to_hex (Digest.string (Marshal.to_string options [ No_sharing ]))
+
 let create ?(options = Cex.Driver.default_options) ?(jobs = default_jobs ())
     ?(cache_capacity = 128) ?(cache_shards = 1) ?(clock = Clock.system) () =
   { options;
+    options_key = options_key options;
     jobs = Cex_session.Pool.clamp_jobs jobs;
     clock;
     sessions = Cache.Sharded.create ~shards:cache_shards ~capacity:cache_capacity ();
@@ -32,8 +41,15 @@ let report_cache_counters t = Cache.counters t.reports
 let find_session t digest = Cache.Sharded.find t.sessions digest
 let store_session t digest session = Cache.Sharded.set t.sessions digest session
 let fold_sessions f t init = Cache.Sharded.fold f t.sessions init
-let find_report t digest = Cache.find t.reports digest
-let store_report t digest report = Cache.set t.reports digest report
+
+let report_key t options digest =
+  digest ^ Option.fold ~none:t.options_key ~some:options_key options
+
+let find_report t ?options digest =
+  Cache.find t.reports (report_key t options digest)
+
+let store_report t ?options digest report =
+  Cache.set t.reports (report_key t options digest) report
 
 type batch_result = {
   name : string;
@@ -75,7 +91,7 @@ let process_window t ~stats ~emit entries =
     List.map
       (fun (name, g, digest) ->
         let prep =
-          match Cache.find t.reports digest with
+          match find_report t digest with
           | Some report -> Cached report
           | None -> (
             match Hashtbl.find_opt seen_fresh digest with
@@ -128,7 +144,7 @@ let process_window t ~stats ~emit entries =
   (* Phase 3 (sequential): fill the report cache, then emit in input
      order. Duplicates share the (physically equal) report of their fresh
      twin. *)
-  Array.iteri (fun i report -> Cache.set t.reports digests.(i) report) reports;
+  Array.iteri (fun i report -> store_report t digests.(i) report) reports;
   List.iter
     (fun (name, digest, prep) ->
       emit

@@ -72,9 +72,17 @@ val fold_sessions :
 (** Fold over live cached sessions without touching recency or counters
     (used to rank delta-reuse candidates). *)
 
-val find_report : t -> string -> Cex.Driver.report option
-val store_report : t -> string -> Cex.Driver.report -> unit
-(** Same direct access to the finished-report cache. *)
+val find_report :
+  t -> ?options:Cex.Driver.options -> string -> Cex.Driver.report option
+
+val store_report :
+  t -> ?options:Cex.Driver.options -> string -> Cex.Driver.report -> unit
+(** Same direct access to the finished-report cache. A report is keyed by
+    its grammar's digest and by the [options] it was searched under
+    (default {!options}), every field of them: two requests for one
+    grammar under different time limits, costs or budgets never share a
+    report. Sessions depend on the grammar alone and stay keyed by
+    digest. *)
 
 type batch_result = {
   name : string;  (** caller-supplied label (file name, corpus entry) *)

@@ -5,32 +5,17 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Oversubscribing domains past the machine is strictly counterproductive
-   for this workload: the searches allocate heavily, every minor
-   collection is a stop-the-world sync across all live domains, and
-   domains timesharing a core turn each sync into a scheduling round trip
-   (measured: jobs 4 on one core runs ~1.5x slower than jobs 1). *)
+(* Oversubscribing domains past the machine is strictly counterproductive:
+   every minor collection is a stop-the-world sync across all live domains,
+   and domains timesharing a core turn each sync into a scheduling round
+   trip (measured: jobs 4 on one core runs ~1.5x slower than jobs 1). A
+   search configuration allocates almost nothing, but the runtime's
+   default 256k-word nursery is small enough that those syncs still come
+   often. *)
 let clamp_jobs jobs = max 1 (min jobs (default_jobs ()))
 
-let tune_gc () =
-  let g = Gc.get () in
-  (* 8M words (64 MB on 64-bit) per domain. The counterexample searches
-     allocate short-lived configurations at a rate that makes the default
-     256k-word minor heap collect thousands of times per corpus run; the
-     larger nursery cuts end-to-end wall time ~2x. A batch analysis also
-     retains each session (automaton, lookaheads, memo tables) only briefly,
-     so a laxer major-heap overhead trades peak memory for markedly fewer
-     major slices — the slices otherwise land mid-measurement as
-     multi-millisecond latency spikes. Respect explicitly larger settings
-     from OCAMLRUNPARAM. *)
-  let minor_target = 8 * 1024 * 1024 in
-  let overhead_target = 400 in
-  let tuned =
-    { g with
-      Gc.minor_heap_size = max g.Gc.minor_heap_size minor_target;
-      Gc.space_overhead = max g.Gc.space_overhead overhead_target }
-  in
-  if tuned <> g then Gc.set tuned
+(* Empty on purpose; see pool.mli. *)
+let tune_gc () = ()
 
 let run ~jobs n f =
   let jobs = clamp_jobs jobs in

@@ -11,10 +11,10 @@
     calling domain, in index order: no domains are spawned and exceptions
     propagate directly.
 
-    [jobs] is clamped to {!clamp_jobs} — more domains than cores is
-    strictly slower for this allocation-heavy workload (every minor
-    collection is a stop-the-world sync across all live domains), so the
-    pool never oversubscribes no matter what the caller asks for. *)
+    [jobs] is clamped to {!clamp_jobs}: more domains than cores is
+    strictly slower here, because every minor collection is a
+    stop-the-world sync across all live domains, so the pool never
+    oversubscribes no matter what the caller asks for. *)
 
 val run : jobs:int -> int -> (int -> 'a) -> 'a array
 
@@ -27,13 +27,11 @@ val clamp_jobs : int -> int
     with the pool. *)
 
 val tune_gc : unit -> unit
-(** Enlarge the per-domain minor heap (to 8M words) and relax the major
-    heap's [space_overhead] (to 400) if the current settings are smaller.
-    The conflict searches allocate short-lived configurations fast enough
-    that the default 256k-word nursery collects thousands of times per
-    corpus run, and an analysis retains each session only briefly, so the
-    laxer overhead trades peak memory for markedly fewer major slices —
-    which otherwise land mid-measurement as multi-millisecond latency
-    spikes. Binaries call this once at startup (spawned domains inherit
-    the settings); larger explicit [OCAMLRUNPARAM] settings are
-    respected. *)
+(** Does nothing: [lrcex] and the library run on the runtime's default GC
+    (a 256k-word minor heap and [space_overhead] 120 on OCaml 5.1.1), and
+    [OCAMLRUNPARAM] applies exactly as given. It used to widen the nursery
+    to 8M words per domain and relax [space_overhead] to 400, settings
+    sized for search allocation the per-domain arena removed; without them
+    every benchmark workload ran faster and peaked lower. Only
+    [perfbench/lrcex_bench.ml] still calls it; the next change to the
+    benchmark deletes that call and this function together. *)

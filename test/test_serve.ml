@@ -211,6 +211,33 @@ let test_cache_hit_on_identical_spec () =
           (List.fold_left (fun n sh -> n + int_at [ "misses" ] sh) 0 shards)
       | _ -> Alcotest.fail "missing stats.cache.session_shards")
 
+(* A cached report answers only requests under the options it was searched
+   with. With no cumulative budget the search is skipped; the same spec
+   under default limits is searched again on the hot session, and finds the
+   unifying counterexample a cold analysis finds. *)
+let test_report_cache_keys_options () =
+  with_server ~clients:1 (fun _server clients ->
+      let c = List.hd clients in
+      let r1 =
+        rpc c
+          (analyze_line ~id:"no-budget" ~extra:",\"cumulative_timeout\":0"
+             dangling)
+      in
+      check_ok "no-budget" r1;
+      Alcotest.(check (list string)) "no budget, no search"
+        [ "skipped_search" ] (outcomes r1);
+      let r2 = rpc c (analyze_line ~id:"defaults" dangling) in
+      check_ok "defaults" r2;
+      Alcotest.(check string) "served from the session, not the report"
+        "session_cache" (string_at [ "served" ] r2);
+      Alcotest.(check (list string)) "searched under default limits"
+        [ "found_unifying" ] (outcomes r2);
+      match at [ "result"; "conflicts" ] r2 with
+      | Some (Json.List [ conflict ]) ->
+        Alcotest.(check string) "a unifying counterexample" "unifying"
+          (string_at [ "counterexample"; "type" ] conflict)
+      | _ -> Alcotest.fail "expected one conflict")
+
 let test_delta_reuse_on_one_production_edit () =
   with_server ~clients:1 (fun _server clients ->
       let c = List.hd clients in
@@ -379,6 +406,8 @@ let suite =
         test_deadline_expiry_mid_request;
       Alcotest.test_case "cache hit on identical spec" `Quick
         test_cache_hit_on_identical_spec;
+      Alcotest.test_case "report cache keys options" `Quick
+        test_report_cache_keys_options;
       Alcotest.test_case "delta reuse on one-production edit" `Quick
         test_delta_reuse_on_one_production_edit;
       Alcotest.test_case "malformed input hardening" `Quick

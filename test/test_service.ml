@@ -17,32 +17,32 @@ expr : ID ;
 (* Cache. *)
 
 let check_counters label (expected : Cex_service.Cache.counters) actual =
-  let quad (c : Cex_service.Cache.counters) =
+  let triple (c : Cex_service.Cache.counters) =
     [ c.Cex_service.Cache.hits;
       c.Cex_service.Cache.misses;
-      c.Cex_service.Cache.evictions;
-      c.Cex_service.Cache.races ]
+      c.Cex_service.Cache.evictions ]
   in
-  Alcotest.(check (list int)) label (quad expected) (quad actual)
+  Alcotest.(check (list int)) label (triple expected) (triple actual)
 
 let test_cache_counters () =
   let open Cex_service in
   let c : int Cache.t = Cache.create ~capacity:2 () in
   Alcotest.(check (option int)) "initial miss" None (Cache.find c "a");
-  Alcotest.(check int) "built" 1 (Cache.find_or_build c "a" (fun () -> 1));
-  Alcotest.(check int) "memoized, builder not rerun" 1
-    (Cache.find_or_build c "a" (fun () -> 99));
-  Alcotest.(check int) "second entry" 2
-    (Cache.find_or_build c "b" (fun () -> 2));
+  Cache.set c "a" 1;
+  Alcotest.(check (option int)) "stored" (Some 1) (Cache.find c "a");
+  Cache.set c "b" 2;
   (* Capacity 2: inserting a third entry evicts the least recently used
      ("a": its last touch predates "b"'s insertion). *)
-  Alcotest.(check int) "third entry evicts" 3
-    (Cache.find_or_build c "c" (fun () -> 3));
+  Cache.set c "c" 3;
   Alcotest.(check (option int)) "victim gone" None (Cache.find c "a");
   Alcotest.(check (option int)) "survivor intact" (Some 2) (Cache.find c "b");
   Alcotest.(check int) "length at capacity" 2 (Cache.length c);
+  Cache.set c "b" 4;
+  Alcotest.(check (option int)) "live entry replaced" (Some 4)
+    (Cache.find c "b");
+  Alcotest.(check int) "replacing evicts nothing" 2 (Cache.length c);
   check_counters "hit/miss/eviction counters"
-    { Cex_service.Cache.hits = 2; misses = 5; evictions = 1; races = 0 }
+    { Cex_service.Cache.hits = 3; misses = 2; evictions = 1 }
     (Cache.counters c)
 
 let test_cache_digest () =
@@ -80,8 +80,40 @@ let test_cache_hit_on_reanalysis () =
   Alcotest.(check bool) "same report value" true
     (r1.Scheduler.report == r2.Scheduler.report);
   check_counters "session cache: one build, no rebuild"
-    { Cache.hits = 0; misses = 1; evictions = 0; races = 0 }
+    { Cache.hits = 0; misses = 1; evictions = 0 }
     (Scheduler.session_cache_counters service)
+
+(* A report is keyed by its grammar and by the values of the options it was
+   searched under: equal options find it however their floats are boxed,
+   and other options never do. *)
+let test_report_cache_keys_options () =
+  let open Cex_service in
+  let g = Spec_parser.grammar_of_string_exn dangling_else in
+  let service = Scheduler.create ~jobs:1 () in
+  let r, _ = Scheduler.analyze service g in
+  let digest = r.Scheduler.digest and report = r.Scheduler.report in
+  let found options =
+    match Scheduler.find_report service ~options digest with
+    | Some found -> found == report
+    | None -> false
+  in
+  let defaults = Scheduler.options service in
+  let sixty = Float.of_string "60" in
+  let shared =
+    { defaults with
+      Cex.Driver.per_conflict_timeout = sixty;
+      cumulative_timeout = sixty }
+  in
+  let unshared =
+    { shared with Cex.Driver.cumulative_timeout = Float.of_string "60" }
+  in
+  Alcotest.(check bool) "the scheduler's own options" true (found defaults);
+  Alcotest.(check bool) "other limits miss" false (found shared);
+  Scheduler.store_report service ~options:shared digest report;
+  Alcotest.(check bool) "equal options, separately boxed" true
+    (found unshared);
+  Alcotest.(check bool) "another budget misses" false
+    (found { defaults with Cex.Driver.max_configs = 10 })
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler determinism: conflict-level parallelism must not change any
@@ -204,6 +236,19 @@ let test_map_order_and_errors () =
         (Cex_session.Pool.run ~jobs:2 3 (fun i ->
              if i = 1 then failwith "boom" else i)))
 
+(* The library runs on the runtime's default GC: [tune_gc] neither widens
+   the nursery nor relaxes [space_overhead], so OCAMLRUNPARAM applies
+   exactly as given. *)
+let test_tune_gc_keeps_gc_settings () =
+  let before = Gc.get () in
+  Cex_session.Pool.tune_gc ();
+  let after = Gc.get () in
+  Alcotest.(check int) "minor heap size" before.Gc.minor_heap_size
+    after.Gc.minor_heap_size;
+  Alcotest.(check int) "space overhead" before.Gc.space_overhead
+    after.Gc.space_overhead;
+  Alcotest.(check bool) "every other setting" true (before = after)
+
 (* ------------------------------------------------------------------ *)
 (* JSON. *)
 
@@ -259,7 +304,7 @@ let test_json_parser () =
 
 let golden =
   {|{
-  "schema_version": 8,
+  "schema_version": 9,
   "stats": {
     "jobs": 1,
     "grammars": 1,
@@ -276,22 +321,19 @@ let golden =
       "sessions": {
         "hits": 0,
         "misses": 1,
-        "evictions": 0,
-        "races": 0
+        "evictions": 0
       },
       "session_shards": [
         {
           "hits": 0,
           "misses": 1,
-          "evictions": 0,
-          "races": 0
+          "evictions": 0
         }
       ],
       "reports": {
         "hits": 0,
         "misses": 1,
-        "evictions": 0,
-        "races": 0
+        "evictions": 0
       }
     }
   },
@@ -405,7 +447,7 @@ let test_lru_exact_capacity () =
   let c : int Cache.t = Cache.create ~capacity:3 () in
   List.iter (fun k -> Cache.set c k (Char.code k.[0])) [ "a"; "b"; "c" ];
   check_counters "full to the brim, no eviction"
-    { Cache.hits = 0; misses = 0; evictions = 0; races = 0 }
+    { Cache.hits = 0; misses = 0; evictions = 0 }
     (Cache.counters c);
   Alcotest.(check int) "length equals capacity" 3 (Cache.length c);
   (* Touch "a": "b" becomes the LRU victim of the overflow insert. *)
@@ -423,39 +465,18 @@ let test_sharded_counter_aggregation () =
   let open Cex_service in
   let c : int Cache.Sharded.t = Cache.Sharded.create ~shards:4 ~capacity:16 () in
   let keys = List.init 12 (fun i -> Printf.sprintf "key-%d" i) in
-  List.iter (fun k -> ignore (Cache.Sharded.find_or_build c k (fun () -> 0))) keys;
+  List.iter
+    (fun k -> if Cache.Sharded.find c k = None then Cache.Sharded.set c k 0)
+    keys;
   List.iter (fun k -> ignore (Cache.Sharded.find c k)) keys;
   ignore (Cache.Sharded.find c "absent");
   let per_shard = Cache.Sharded.counters c in
   Alcotest.(check int) "one counters record per shard" 4 (List.length per_shard);
   check_counters "shard totals add up"
-    { Cache.hits = 12; misses = 13; evictions = 0; races = 0 }
+    { Cache.hits = 12; misses = 13; evictions = 0 }
     (Cache.sum_counters per_shard);
   Alcotest.(check int) "every build landed in some shard" 12
     (Cache.Sharded.length c)
-
-(* find_or_build runs the builder outside the shard lock: a builder that
-   re-enters the same cache must not deadlock, and a concurrent insert of
-   the same key during the build is detected as a race (the first value
-   wins, the losing build is discarded). *)
-let test_build_outside_lock () =
-  let open Cex_service in
-  let c : int Cache.t = Cache.create ~capacity:8 () in
-  let v =
-    Cache.find_or_build c "k" (fun () ->
-        (* would deadlock if the lock were held across the build *)
-        Cache.set c "other" 7;
-        (* another domain completes the same build first *)
-        Cache.set c "k" 1;
-        2)
-  in
-  Alcotest.(check int) "first insert wins" 1 v;
-  Alcotest.(check (option int)) "cache keeps the winner" (Some 1)
-    (Cache.find c "k");
-  Alcotest.(check (option int)) "re-entrant insert landed" (Some 7)
-    (Cache.find c "other");
-  Alcotest.(check int) "duplicate build counted as a race" 1
-    (Cache.counters c).Cache.races
 
 let stress_entries n = List.of_seq (Corpus.Stress.seq n)
 
@@ -534,7 +555,7 @@ let test_duplicate_shares_report () =
     (* duplicates are recognised before the session cache is consulted:
        one build, no second lookup *)
     check_counters "single session build"
-      { Cache.hits = 0; misses = 1; evictions = 0; races = 0 }
+      { Cache.hits = 0; misses = 1; evictions = 0 }
       (Scheduler.session_cache_counters service)
   | _ -> Alcotest.fail "expected three results"
 
@@ -544,6 +565,8 @@ let suite =
       Alcotest.test_case "cache-digest" `Quick test_cache_digest;
       Alcotest.test_case "cache-hit-on-reanalysis" `Quick
         test_cache_hit_on_reanalysis;
+      Alcotest.test_case "report-cache-keys-options" `Quick
+        test_report_cache_keys_options;
       Alcotest.test_case "determinism-jobs-1-vs-4" `Slow test_determinism;
       Alcotest.test_case "scheduler-matches-driver" `Quick
         test_scheduler_matches_driver;
@@ -552,13 +575,14 @@ let suite =
         test_crash_becomes_outcome;
       Alcotest.test_case "map-order-and-errors" `Quick
         test_map_order_and_errors;
+      Alcotest.test_case "tune-gc-keeps-gc-settings" `Quick
+        test_tune_gc_keeps_gc_settings;
       Alcotest.test_case "json-emitter" `Quick test_json_emitter;
       Alcotest.test_case "json-parser" `Quick test_json_parser;
       Alcotest.test_case "json-golden" `Quick test_json_golden;
       Alcotest.test_case "lru-exact-capacity" `Quick test_lru_exact_capacity;
       Alcotest.test_case "sharded-counter-aggregation" `Quick
         test_sharded_counter_aggregation;
-      Alcotest.test_case "build-outside-lock" `Quick test_build_outside_lock;
       Alcotest.test_case "max-live-sessions-bounded" `Quick
         test_max_live_sessions_bounded;
       Alcotest.test_case "stream-equals-batch" `Quick test_stream_equals_batch;
