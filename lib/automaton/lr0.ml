@@ -100,11 +100,6 @@ let items_with_next a s sym =
   | Symbol.Terminal t -> st.with_next_terminal.(t)
   | Symbol.Nonterminal nt -> st.with_next_nonterminal.(nt)
 
-let reduce_items a s =
-  let st = a.states.(s) in
-  Array.to_list st.items
-  |> List.filter (fun item -> Item.is_reduce a.grammar item)
-
 (* The interning table: one dense id per (production, dot) pair. *)
 let build_offsets g =
   let n_p = Grammar.n_productions g in

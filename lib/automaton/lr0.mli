@@ -80,8 +80,6 @@ val items_with_next : t -> int -> Symbol.t -> Item.t list
     used for shift items and for reverse production steps. Precomputed at
     build time. *)
 
-val reduce_items : t -> int -> Item.t list
-
 (** {2 Backward reachability} *)
 
 val backward_reach : t -> state:int -> item_id:int -> Bytes.t

@@ -1,8 +1,8 @@
-(* The mutable counterpart of [Pqueue] for int values: same Dial-style
-   monotone bucket queue, same pop order (least priority first, FIFO within
-   a priority), in int arrays that it owns. The searches queue int handles
-   into their own arenas, so a push writes a few array cells, allocates
-   nothing and pays no write barrier.
+(* The mutable counterpart of the tests' persistent [Pqueue] for int
+   values: same Dial-style monotone bucket queue, same pop order (least
+   priority first, FIFO within a priority), in int arrays that it owns. The
+   searches queue int handles into their own arenas, so a push writes a few
+   array cells, allocates nothing and pays no write barrier.
 
    [head] and [tail] are indexed directly by priority. Each entry slot holds
    a value and the slot of the next entry of its bucket, so every bucket is
@@ -11,7 +11,7 @@
    integer costs with a non-decreasing minimum, so [min_prio] only ever moves
    forward between pops and [pop] amortizes to O(1).
 
-   The structure is reusable, as the per-domain scratch pools need: [clear]
+   The structure is reusable, as the searches' scratch pools need: [clear]
    rewinds the slot counter and empties the buckets in place, keeping every
    array's capacity. It visits only the range of priorities filled since the
    previous clear: one runaway search can grow [head] to thousands of

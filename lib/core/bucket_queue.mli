@@ -1,6 +1,7 @@
 (** Mutable min-priority queue of ints with integer priorities and FIFO
-    tie-breaking — the in-place counterpart of {!Pqueue}, with the identical
-    pop order (least priority first, insertion order within a priority).
+    tie-breaking — the in-place counterpart of the persistent queue that the
+    tests keep as its reference ([test/pqueue.ml]), with the identical pop
+    order (least priority first, insertion order within a priority).
 
     A Dial-style bucket array indexed directly by priority, each bucket a
     FIFO threaded through int arrays the queue owns, so [add] and [pop]

@@ -74,13 +74,14 @@ end)
 
 module Int_tbl = Hashtbl.Make (Int)
 
-(* Per-domain scratch pool. The visited array is sized by the largest
-   automaton searched so far and zeroed between searches by replaying the
-   touched keys (bounded by the pops of the previous search, not the array
-   size); the bucket queue and the entry chunks keep their capacity across
-   searches, and the intern tables shrink back to their initial size.
-   Take-out/put-back through the DLS slot: a search that raises abandons
-   the scratch (slot left [None]), so a dirty structure is never reused.
+(* Search scratch. The visited array is sized by the largest automaton
+   searched so far and zeroed between searches by replaying the touched
+   keys (bounded by the pops of the previous search, not the array size);
+   the bucket queue and the entry chunks keep their capacity across
+   searches, and the intern tables shrink back to their initial size. As in
+   [Product_search], searches take scratch from one free list shared by
+   every domain and put it back when they finish: a search that raises
+   abandons its scratch, so a dirty structure is never reused.
 
    A queued vertex is an int handle to [entry_words] cells of [entries]:
    its state, interned item id and interned lookahead-set id, the
@@ -99,13 +100,20 @@ type scratch = {
   follow : int Int_tbl.t;  (* packed (lookahead id, item id) -> followL id *)
 }
 
-let scratch_slot : scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let free_scratch = ref []
+let free_scratch_lock = Mutex.create ()
 
 let take_scratch ~size =
-  let slot = Domain.DLS.get scratch_slot in
+  let reused =
+    Mutex.protect free_scratch_lock (fun () ->
+        match !free_scratch with
+        | s :: rest ->
+          free_scratch := rest;
+          Some s
+        | [] -> None)
+  in
   let s =
-    match !slot with
+    match reused with
     | Some s -> s
     | None ->
       { visited = [||]; touched = []; queue = Bucket_queue.create ();
@@ -113,7 +121,6 @@ let take_scratch ~size =
         sets = Array.make 64 Bitset.empty; n_sets = 0;
         follow = Int_tbl.create 64 }
   in
-  slot := None;
   if Array.length s.visited < size then begin
     s.visited <- Array.make size [];
     s.touched <- []
@@ -129,7 +136,8 @@ let put_scratch s =
   Array.fill s.sets 0 s.n_sets Bitset.empty;
   s.n_sets <- 0;
   Int_tbl.reset s.follow;
-  Domain.DLS.get scratch_slot := Some s
+  Mutex.protect free_scratch_lock (fun () ->
+      free_scratch := s :: !free_scratch)
 
 let intern s set =
   match Set_tbl.find_opt s.ids set with

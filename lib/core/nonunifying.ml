@@ -8,26 +8,16 @@ type t = {
   prefix : Symbol.t list;
   reduce_continuation : Symbol.t list;
   other_continuation : Symbol.t list;
-  deriv1 : Derivation.t option;
-  deriv2 : Derivation.t option;
+  deriv1 : Derivation.t;
+  deriv2 : Derivation.t;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Frame stacks. Walking a lookahead-sensitive path, a production step opens
    a frame (an item whose dot sits on the nonterminal being expanded);
-   transitions advance the innermost frame. The suffix of symbols still to be
-   parsed after the conflict point is the concatenation, innermost first, of
-   each open frame's right-hand side beyond the dot. *)
-
-let continuation_of_frames g frames =
-  (* [frames] lists open context frames, innermost first; skip the symbol at
-     the dot itself (it is the nonterminal being expanded). *)
-  List.concat_map
-    (fun (item : Item.t) ->
-      let rhs = (Item.production g item).Grammar.rhs in
-      Array.to_list (Array.sub rhs (item.Item.dot + 1)
-                       (Array.length rhs - item.Item.dot - 1)))
-    frames
+   transitions advance the innermost frame. The symbols still to be parsed
+   after the conflict point are, innermost first, each open frame's
+   right-hand side beyond the dot. *)
 
 (* Open frames of the shortest lookahead-sensitive path, innermost first,
    excluding the innermost frame itself (the conflict reduce item, whose dot
@@ -55,54 +45,34 @@ let reduce_side_frames path =
     | [] -> assert false)
   | [] -> assert false
 
+(* The frames' post-dot symbols, innermost frame first, each tagged with its
+   frame's index. *)
+let frame_suffixes g frames =
+  List.concat
+    (List.mapi
+       (fun k (item : Item.t) ->
+         let rhs = (Item.production g item).Grammar.rhs in
+         List.init
+           (Array.length rhs - item.Item.dot - 1)
+           (fun j -> (k, rhs.(item.Item.dot + 1 + j))))
+       frames)
+
+let unexpanded tagged =
+  List.map (fun (k, sym) -> (k, Derivation.leaf sym)) tagged
+
 (* ------------------------------------------------------------------ *)
-(* Expanding a continuation so that it starts with the conflict terminal
-   (paper section 4: "the conflict terminal must immediately follow the
-   dot"). Minimizes total expansion cost using the analysis witnesses. *)
-
-let expand_to_start_with analysis terminal continuation =
-  let rec go = function
-    | [] -> if terminal = 0 then Some (0, []) else None
-    | Symbol.Terminal t :: rest ->
-      if t = terminal then Some (0, Symbol.Terminal t :: rest) else None
-    | Symbol.Nonterminal nt :: rest ->
-      let via_front =
-        match Analysis.front_cost analysis nt terminal with
-        | None -> None
-        | Some cost -> (
-          match Analysis.expand_front analysis nt terminal with
-          | Some form -> Some (cost, form @ rest)
-          | None -> None)
-      in
-      let via_null =
-        match Analysis.null_cost analysis nt with
-        | None -> None
-        | Some cost -> (
-          match go rest with
-          | Some (cost', form) -> Some (cost + cost', form)
-          | None -> None)
-      in
-      (match via_front, via_null with
-      | None, o | o, None -> o
-      | Some (c1, _), Some (c2, _) ->
-        if c1 <= c2 then via_front else via_null)
-  in
-  match go continuation with
-  | Some (_, form) -> Some form
-  | None -> None
-
-(* Like {!expand_to_start_with}, but over (frame_index, symbol) pairs and
-   producing one derivation per symbol (epsilon nodes for vanished
-   nonterminals, front-expansion trees for the one providing the conflict
-   terminal, leaves beyond it), so that per-frame children can be rebuilt. *)
+(* Expanding the frames' suffixes so that they start with the conflict
+   terminal (paper section 4: "the conflict terminal must immediately follow
+   the dot"), at the least total expansion cost of the analysis witnesses.
+   One derivation per tagged symbol: epsilon nodes for vanished
+   nonterminals, the front-expansion tree for the one providing the conflict
+   terminal, leaves beyond it. [terminal = 0] (end of input) asks for every
+   symbol to vanish. *)
 let expand_tagged analysis terminal tagged =
-  let leaves rest =
-    List.map (fun (j, sym) -> (j, Derivation.leaf sym)) rest
-  in
   let rec go = function
     | [] -> if terminal = 0 then Some (0, []) else None
     | (i, (Symbol.Terminal t as sym)) :: rest ->
-      if t = terminal then Some (0, (i, Derivation.leaf sym) :: leaves rest)
+      if t = terminal then Some (0, (i, Derivation.leaf sym) :: unexpanded rest)
       else None
     | (i, Symbol.Nonterminal nt) :: rest ->
       let via_front =
@@ -110,7 +80,7 @@ let expand_tagged analysis terminal tagged =
         | None -> None
         | Some cost -> (
           match Analysis.front_derivation analysis nt terminal with
-          | Some d -> Some (cost, (i, d) :: leaves rest)
+          | Some d -> Some (cost, (i, d) :: unexpanded rest)
           | None -> None)
       in
       let via_null =
@@ -128,42 +98,43 @@ let expand_tagged analysis terminal tagged =
   in
   Option.map snd (go tagged)
 
-(* Assemble the full derivation tree for one side: the conflict node at the
-   centre, wrapped by the open frames (innermost first), whose pre-dot
-   symbols are unexpanded leaves and whose post-dot symbols carry the
-   expansion derivations computed by {!expand_tagged}. *)
-let assemble_derivation g analysis ~terminal ~frames ~conflict_node =
-  let tagged =
-    List.concat
-      (List.mapi
-         (fun k (item : Item.t) ->
-           let rhs = (Item.production g item).Grammar.rhs in
-           List.init
-             (Array.length rhs - item.Item.dot - 1)
-             (fun j -> (k, rhs.(item.Item.dot + 1 + j))))
-         frames)
-  in
-  let expansion =
-    match expand_tagged analysis terminal tagged with
-    | Some derivs -> derivs
-    | None ->
-      (* Fallback (see the unconstrained backward walk): plain leaves. *)
-      List.map (fun (k, sym) -> (k, Derivation.leaf sym)) tagged
+(* The full derivation tree of one side: the conflict item's node (its
+   right-hand side as leaves, the dot at the item's dot), wrapped by the open
+   frames (innermost first), whose pre-dot symbols are leaves and whose
+   post-dot symbols carry the derivations of [expansion], as tagged by
+   {!frame_suffixes}. *)
+let assemble_derivation g ~frames ~expansion (item : Item.t) =
+  let leaves_upto rhs n = List.init n (fun j -> Derivation.leaf rhs.(j)) in
+  let prod = Item.production g item in
+  let rhs = prod.Grammar.rhs in
+  let conflict_node =
+    Derivation.node ~dot:item.Item.dot g prod.Grammar.index
+      (leaves_upto rhs (Array.length rhs))
   in
   let tree = ref conflict_node in
   List.iteri
-    (fun k (item : Item.t) ->
-      let prod = Item.production g item in
-      let before =
-        List.init item.Item.dot (fun j -> Derivation.leaf prod.Grammar.rhs.(j))
-      in
-      let after = List.filter_map
+    (fun k (frame : Item.t) ->
+      let prod = Item.production g frame in
+      let after =
+        List.filter_map
           (fun (k', d) -> if k' = k then Some d else None)
           expansion
       in
-      tree := Derivation.node g prod.Grammar.index (before @ (!tree :: after)))
+      tree :=
+        Derivation.node g prod.Grammar.index
+          (leaves_upto prod.Grammar.rhs frame.Item.dot @ (!tree :: after)))
     frames;
   !tree
+
+(* A tree's frontier split at its conflict dot: the symbols before it and
+   the symbols after it. *)
+let split_at_dot d =
+  match Derivation.frontier_dot_position d with
+  | None -> assert false (* the conflict node carries the dot *)
+  | Some n ->
+    let frontier = Derivation.leaves d in
+    ( List.filteri (fun i _ -> i < n) frontier,
+      List.filteri (fun i _ -> i >= n) frontier )
 
 (* ------------------------------------------------------------------ *)
 (* Backward walk for the other conflict item (paper, Fig. 5(b)): find a
@@ -295,135 +266,68 @@ let other_side_frames ?(require_terminal = true) lalr path ~conflict_state
 let construct ?path lalr (conflict : Conflict.t) =
   let g = Lalr.grammar lalr in
   let analysis = Lalr.analysis lalr in
+  let terminal = conflict.Conflict.terminal in
   let reduce_item = Conflict.reduce_item conflict in
   let path =
     match path with
     | Some _ -> path
     | None ->
       Lookahead_path.find lalr ~conflict_state:conflict.Conflict.state
-        ~reduce_item ~terminal:conflict.Conflict.terminal
+        ~reduce_item ~terminal
   in
   match path with
   | None -> None
-  | Some path ->
-    let prefix = Lookahead_path.prefix_symbols path in
-    let reduce_continuation =
+  | Some path -> (
+    let reduce_frames = reduce_side_frames path in
+    let deriv1 =
       match
-        expand_to_start_with analysis conflict.Conflict.terminal
-          (continuation_of_frames g (reduce_side_frames path))
+        expand_tagged analysis terminal (frame_suffixes g reduce_frames)
       with
-      | Some form -> form
+      | Some expansion ->
+        assemble_derivation g ~frames:reduce_frames ~expansion reduce_item
       | None ->
         (* The precise lookahead of the path's last vertex contains the
            conflict terminal, so an expansion must exist. *)
         assert false
     in
     let other_item = Conflict.other_item conflict in
-    let frames_result =
-      match
-        other_side_frames lalr path ~conflict_state:conflict.Conflict.state
-          ~other_item ~terminal:conflict.Conflict.terminal
-      with
+    let other_frames ?require_terminal () =
+      other_side_frames ?require_terminal lalr path
+        ~conflict_state:conflict.Conflict.state ~other_item ~terminal
+    in
+    let frames =
+      match other_frames () with
       | Some frames -> Some frames
       | None ->
         (* LALR merging can admit the conflict terminal only through contexts
            off this skeleton; fall back to an unconstrained walk so that a
            (weaker) counterexample is still reported. *)
-        other_side_frames ~require_terminal:false lalr path
-          ~conflict_state:conflict.Conflict.state ~other_item
-          ~terminal:conflict.Conflict.terminal
+        other_frames ~require_terminal:false ()
     in
-    let other_continuation =
-      match frames_result with
-      | None -> None
-      | Some frames -> (
-        let outer = continuation_of_frames g frames in
+    match frames with
+    | None -> None
+    | Some frames ->
+      let suffixes = frame_suffixes g frames in
+      let expansion =
         match conflict.Conflict.kind with
         | Conflict.Shift_reduce _ ->
-          (* After the dot: the conflict terminal, the rest of the shift
-             item's right-hand side, then the outer frames' suffixes. *)
-          let rhs = (Item.production g other_item).Grammar.rhs in
-          let after_dot =
-            Array.to_list
-              (Array.sub rhs other_item.Item.dot
-                 (Array.length rhs - other_item.Item.dot))
-          in
-          Some (after_dot @ outer)
+          (* The conflict terminal comes from the shift item's own
+             remainder, so the frames' suffixes stay unexpanded. *)
+          unexpanded suffixes
         | Conflict.Reduce_reduce _ -> (
-          match
-            expand_to_start_with analysis conflict.Conflict.terminal outer
-          with
-          | Some form -> Some form
+          match expand_tagged analysis terminal suffixes with
+          | Some expansion -> expansion
           | None ->
             (* Fallback walk: show the raw continuation even though the
                conflict terminal cannot head it along this skeleton. *)
-            Some outer))
-    in
-    match other_continuation with
-    | None -> None
-    | Some other_continuation ->
-      (* Derivation trees for both sides. *)
-      let reduce_frames = reduce_side_frames path in
-      let reduce_item_prod = Item.production g reduce_item in
-      let conflict_node1 =
-        Derivation.node ~dot:(Array.length reduce_item_prod.Grammar.rhs) g
-          reduce_item_prod.Grammar.index
-          (Array.to_list (Array.map Derivation.leaf reduce_item_prod.Grammar.rhs))
+            unexpanded suffixes)
       in
-      let deriv1 =
-        Some
-          (assemble_derivation g analysis ~terminal:conflict.Conflict.terminal
-             ~frames:reduce_frames ~conflict_node:conflict_node1)
-      in
-      let deriv2 =
-        match frames_result with
-        | None -> None
-        | Some frames ->
-          let other_prod = Item.production g other_item in
-          let conflict_node2 =
-            Derivation.node ~dot:other_item.Item.dot g
-              other_prod.Grammar.index
-              (Array.to_list (Array.map Derivation.leaf other_prod.Grammar.rhs))
-          in
-          let terminal2 =
-            (* For a shift item the conflict terminal comes from the item's
-               own remainder; the frames' suffixes are unconstrained, which
-               expand_tagged encodes as terminal 0 with a nullable... they are
-               emitted as plain leaves via the fallback below when not
-               expandable. For reduce/reduce, the expansion applies. *)
-            if Conflict.is_shift_reduce conflict then None
-            else Some conflict.Conflict.terminal
-          in
-          (match terminal2 with
-          | Some t ->
-            Some
-              (assemble_derivation g analysis ~terminal:t ~frames
-                 ~conflict_node:conflict_node2)
-          | None ->
-            (* Shift side: frames' suffixes stay as leaves. *)
-            let tree = ref conflict_node2 in
-            List.iter
-              (fun (item : Item.t) ->
-                let prod = Item.production g item in
-                let before =
-                  List.init item.Item.dot (fun j ->
-                      Derivation.leaf prod.Grammar.rhs.(j))
-                in
-                let after =
-                  List.init
-                    (Array.length prod.Grammar.rhs - item.Item.dot - 1)
-                    (fun j ->
-                      Derivation.leaf prod.Grammar.rhs.(item.Item.dot + 1 + j))
-                in
-                tree :=
-                  Derivation.node g prod.Grammar.index
-                    (before @ (!tree :: after)))
-              frames;
-            Some !tree)
-      in
+      let deriv2 = assemble_derivation g ~frames ~expansion other_item in
+      let prefix, reduce_continuation = split_at_dot deriv1 in
+      let _, other_continuation = split_at_dot deriv2 in
       Some
         { conflict; path; prefix; reduce_continuation; other_continuation;
-          deriv1; deriv2 }
+          deriv1; deriv2 })
 
 (* Unwrap the START wrapper for display. *)
 let display_derivation d =
@@ -437,17 +341,12 @@ let pp g ppf t =
     if symbols = [] then Fmt.string ppf "(end of input)"
     else Grammar.pp_symbols g ppf symbols
   in
-  Fmt.pf ppf "@[<v>Example (using reduction):@,  %a %s %a@,"
-    (Grammar.pp_symbols g) t.prefix dot form t.reduce_continuation;
-  (match t.deriv1 with
-  | Some d ->
-    Fmt.pf ppf "Derivation:@,  %a@," (Derivation.pp g) (display_derivation d)
-  | None -> ());
-  Fmt.pf ppf "Example (using %s):@,  %a %s %a"
+  let derivation ppf d = Derivation.pp g ppf (display_derivation d) in
+  Fmt.pf ppf
+    "@[<v>Example (using reduction):@,  %a %s %a@,Derivation:@,  %a@,\
+     Example (using %s):@,  %a %s %a@,Derivation:@,  %a@]"
+    (Grammar.pp_symbols g) t.prefix dot form t.reduce_continuation
+    derivation t.deriv1
     (if Conflict.is_shift_reduce t.conflict then "shift" else "second reduction")
-    (Grammar.pp_symbols g) t.prefix dot form t.other_continuation;
-  (match t.deriv2 with
-  | Some d ->
-    Fmt.pf ppf "@,Derivation:@,  %a" (Derivation.pp g) (display_derivation d)
-  | None -> ());
-  Fmt.pf ppf "@]" 
+    (Grammar.pp_symbols g) t.prefix dot form t.other_continuation
+    derivation t.deriv2

@@ -420,11 +420,14 @@ let visited_clear v =
   done;
   v.count <- 0
 
-(* Per-domain scratch pool: the arena, the visited set and the bucket queue
-   keep their capacity across searches and are reset by rewinding their
-   counters; [pushes] counts one search's queue pushes. Take-out/put-back
-   through the DLS slot: a search that raises abandons the scratch, so a
-   dirty structure is never reused. *)
+(* Search scratch: the arena, the visited set and the bucket queue keep
+   their capacity across searches and are reset by rewinding their
+   counters; [pushes] counts one search's queue pushes. Searches take
+   scratch from one free list shared by every domain and put it back when
+   they finish, so a domain that a later fan-out spawns reuses what a joined
+   domain grew, and a process holds one scratch per concurrent search. A
+   search that raises abandons its scratch, so a dirty structure is never
+   reused. *)
 type scratch = {
   arena : arena;
   visited : visited;
@@ -432,22 +435,25 @@ type scratch = {
   mutable pushes : int;
 }
 
-let scratch_slot : scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let free_scratch = ref []
+let free_scratch_lock = Mutex.create ()
 
 let take_scratch () =
-  let slot = Domain.DLS.get scratch_slot in
-  let s =
-    match !slot with
-    | Some s -> s
-    | None ->
-      { arena = arena_create ();
-        visited = visited_create 8192;
-        queue = Bucket_queue.create ();
-        pushes = 0 }
+  let reused =
+    Mutex.protect free_scratch_lock (fun () ->
+        match !free_scratch with
+        | s :: rest ->
+          free_scratch := rest;
+          Some s
+        | [] -> None)
   in
-  slot := None;
-  s
+  match reused with
+  | Some s -> s
+  | None ->
+    { arena = arena_create ();
+      visited = visited_create 8192;
+      queue = Bucket_queue.create ();
+      pushes = 0 }
 
 let put_scratch s =
   visited_clear s.visited;
@@ -455,7 +461,8 @@ let put_scratch s =
   s.arena.n_nodes <- 0;
   s.arena.n_cfgs <- 0;
   s.pushes <- 0;
-  Domain.DLS.get scratch_slot := Some s
+  Mutex.protect free_scratch_lock (fun () ->
+      free_scratch := s :: !free_scratch)
 
 (* Every successor goes straight into the queue through here, built at the
    top of the arena as the configuration [c] over the nodes from [nodes0]

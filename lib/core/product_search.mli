@@ -13,14 +13,16 @@
     configuration, only for configurations that pass every other success
     test.
 
-    Configurations live in a per-domain arena of int arrays, which keeps
-    its capacity from search to search and is reset by rewinding its
-    counters. Each item sequence is two stacks of nodes shared with the
-    sequences it was derived from: reverse moves push onto the front stack,
-    forward moves onto the back stack, and reductions truncate the back
-    stack. A move adds one node however long the sequence is, so a
-    configuration costs O(1) words and a successor allocates nothing on the
-    heap once the arena has grown.
+    Configurations live in an arena of int arrays, which keeps its
+    capacity from search to search and is reset by rewinding its counters.
+    Searches take arenas from one free list that every domain shares, so a
+    process holds one per concurrent search, and a domain that a later
+    fan-out spawns reuses what a joined one grew. Each item sequence is two
+    stacks of nodes shared with the sequences it was derived from: reverse
+    moves push onto the front stack, forward moves onto the back stack, and
+    reductions truncate the back stack. A move adds one node however long
+    the sequence is, so a configuration costs O(1) words and a successor
+    allocates nothing on the heap once the arena has grown.
 
     By default, reverse transitions are restricted to states on the shortest
     lookahead-sensitive path (the paper's practical tradeoff, section 6);

@@ -174,8 +174,6 @@ let java_ext =
 
 let all () = ours @ java_ext @ stack @ bv10
 
-let sql_base = Sql_grammars.base
-
 let find name =
   match List.find_opt (fun e -> String.equal e.name name) (all ()) with
   | Some e -> e

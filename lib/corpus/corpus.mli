@@ -41,6 +41,3 @@ val find : string -> entry
 
 val grammar : entry -> Cfg.Grammar.t
 (** Parse the entry's source (trusted; raises only on library bugs). *)
-
-val sql_base : string
-(** The conflict-free SQL base grammar (exposed for the examples). *)

@@ -47,8 +47,6 @@ let bands =
 
 let n_bands = List.length bands
 
-let default_size = 10_000
-
 let band_of i = List.nth bands (abs i mod n_bands)
 
 let name i = Printf.sprintf "stress-%s-%d" (band_of i).band_name i

@@ -32,9 +32,6 @@ val bands : band list
 (** The four bands, in round-robin order: [small], [medium], [large],
     [ambiguous]. *)
 
-val default_size : int
-(** The nominal stress-tier size, 10_000 grammars. *)
-
 val band_of : int -> band
 (** The band of stress grammar [i] ([i mod List.length bands]). *)
 

@@ -19,10 +19,6 @@ let pp_syms g ppf syms =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any " ") Fmt.string)
     (List.map (Grammar.symbol_name g) syms)
 
-let pp_deriv g ppf = function
-  | None -> Fmt.string ppf "-"
-  | Some d -> Derivation.pp g ppf d
-
 let add_conflict buf g lalr ~max_configs ~path (c : Conflict.t) =
   let pf fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   let kind = if Conflict.is_shift_reduce c then "SR" else "RR" in
@@ -73,10 +69,8 @@ let add_conflict buf g lalr ~max_configs ~path (c : Conflict.t) =
       (Fmt.str "%a" (pp_syms g) nu.Cex.Nonunifying.prefix)
       (Fmt.str "%a" (pp_syms g) nu.Cex.Nonunifying.reduce_continuation)
       (Fmt.str "%a" (pp_syms g) nu.Cex.Nonunifying.other_continuation);
-    pf "nu-d1: %s\n"
-      (Fmt.str "%a" (pp_deriv g) nu.Cex.Nonunifying.deriv1);
-    pf "nu-d2: %s\n"
-      (Fmt.str "%a" (pp_deriv g) nu.Cex.Nonunifying.deriv2)
+    pf "nu-d1: %s\n" (Derivation.to_string g nu.Cex.Nonunifying.deriv1);
+    pf "nu-d2: %s\n" (Derivation.to_string g nu.Cex.Nonunifying.deriv2)
 
 let grammar_section buf ~max_configs ~name g =
   let pf fmt = Fmt.kstr (Buffer.add_string buf) fmt in

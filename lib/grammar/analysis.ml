@@ -425,11 +425,6 @@ let rec front_derivation a nt t =
     in
     Some (Derivation.node a.grammar w.front_prod children)
 
-let expand_front a nt t =
-  match front_derivation a nt t with
-  | None -> None
-  | Some d -> Some (Derivation.leaves d)
-
 let front_cost a nt t =
   let c = a.front_cost.(nt).(t) in
   if c >= infinity_cost then None else Some c
@@ -437,11 +432,6 @@ let front_cost a nt t =
 let null_cost a nt =
   let c = a.null_cost.(nt) in
   if c >= infinity_cost then None else Some c
-
-let can_begin_with a sym t =
-  match sym with
-  | Symbol.Terminal t' -> t = t'
-  | Symbol.Nonterminal nt -> Bitset.mem a.first.(nt) t
 
 let rec min_sentence_of_symbol a sym =
   match sym with

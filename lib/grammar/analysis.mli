@@ -67,19 +67,12 @@ val front_derivation : t -> int -> int -> Derivation.t option
     [nt =>* t delta] for some symbol string [delta] (kept as unexpanded
     leaves), or [None] if [t] is not in [FIRST nt]. *)
 
-val expand_front : t -> int -> int -> Symbol.t list option
-(** Frontier of {!front_derivation}: a sentential form beginning with the
-    requested terminal. *)
-
 val front_cost : t -> int -> int -> int option
 (** Cost of the witness returned by {!front_derivation} (production
     applications plus epsilon-derivation steps); [None] if absent. *)
 
 val null_cost : t -> int -> int option
 (** Cost of the minimal epsilon derivation; [None] if not nullable. *)
-
-val can_begin_with : t -> Symbol.t -> int -> bool
-(** Can a derivation of the symbol begin with the given terminal? *)
 
 val min_sentence : t -> Symbol.t list -> int list
 (** A short terminal sentence derivable from the sentential form.

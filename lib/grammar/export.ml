@@ -1,5 +1,5 @@
-(* Exporters: render a grammar back to the textual spec dialect (round-trips
-   through Spec_parser) or to a Menhir .mly skeleton. *)
+(* Exporter: render a grammar back to the textual spec dialect (round-trips
+   through Spec_parser). *)
 
 let is_ident name =
   String.length name > 0
@@ -66,85 +66,5 @@ let to_spec g =
         Buffer.add_char buf '\n')
       prods;
     Buffer.add_string buf "  ;\n"
-  done;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Menhir: terminals must be capitalized identifiers, nonterminals lowercase
-   identifiers; punctuation gets a spelled-out name. *)
-
-let punct_names =
-  [ ('+', "PLUS"); ('-', "MINUS"); ('*', "STAR"); ('/', "SLASH");
-    ('=', "EQUALS"); ('<', "LT"); ('>', "GT"); ('!', "BANG"); ('?', "QUESTION");
-    ('&', "AMP"); ('^', "CARET"); ('~', "TILDE"); ('@', "AT"); ('.', "DOT");
-    (',', "COMMA"); ('(', "LPAREN"); (')', "RPAREN"); ('[', "LBRACKET");
-    (']', "RBRACKET"); ('{', "LBRACE"); ('}', "RBRACE"); (':', "COLON");
-    (';', "SEMI"); ('%', "PERCENT"); ('|', "BAR"); ('\'', "QUOTE") ]
-
-let menhir_terminal_name g t =
-  let name = Grammar.terminal_name g t in
-  if is_ident name then String.uppercase_ascii name
-  else
-    String.concat "_"
-      (List.map
-         (fun c ->
-           match List.assoc_opt c punct_names with
-           | Some n -> n
-           | None -> Fmt.str "CHR%d" (Char.code c))
-         (List.init (String.length name) (String.get name)))
-
-let menhir_nonterminal_name g nt =
-  String.uncapitalize_ascii (Grammar.nonterminal_name g nt)
-
-let to_menhir g =
-  let buf = Buffer.create 1024 in
-  for t = 1 to Grammar.n_terminals g - 1 do
-    Buffer.add_string buf (Fmt.str "%%token %s\n" (menhir_terminal_name g t))
-  done;
-  (* Precedence declarations with menhir terminal spellings. *)
-  let by_level : (int, (Grammar.assoc * string list ref)) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  for t = 1 to Grammar.n_terminals g - 1 do
-    match Grammar.terminal_prec g t with
-    | None -> ()
-    | Some (level, assoc) -> (
-      match Hashtbl.find_opt by_level level with
-      | Some (_, names) -> names := menhir_terminal_name g t :: !names
-      | None ->
-        Hashtbl.add by_level level (assoc, ref [ menhir_terminal_name g t ]))
-  done;
-  Hashtbl.fold (fun level entry acc -> (level, entry) :: acc) by_level []
-  |> List.sort (fun (l1, _) (l2, _) -> Int.compare l1 l2)
-  |> List.iter (fun (_, (assoc, names)) ->
-         Buffer.add_string buf
-           (Fmt.str "%s %s\n" (assoc_directive assoc)
-              (String.concat " " (List.rev !names))));
-  Buffer.add_string buf
-    (Fmt.str "%%start <unit> %s\n%%%%\n\n"
-       (menhir_nonterminal_name g (Grammar.start g)));
-  for nt = 1 to Grammar.n_nonterminals g - 1 do
-    Buffer.add_string buf (menhir_nonterminal_name g nt);
-    Buffer.add_string buf ":\n";
-    List.iter
-      (fun p ->
-        let prod = Grammar.production g p in
-        Buffer.add_string buf "  | ";
-        Array.iter
-          (fun sym ->
-            (match sym with
-            | Symbol.Terminal t ->
-              Buffer.add_string buf (menhir_terminal_name g t)
-            | Symbol.Nonterminal n ->
-              Buffer.add_string buf (menhir_nonterminal_name g n));
-            Buffer.add_char buf ' ')
-          prod.Grammar.rhs;
-        (match prod.Grammar.prec_tag with
-        | Some t ->
-          Buffer.add_string buf (Fmt.str "%%prec %s " (menhir_terminal_name g t))
-        | None -> ());
-        Buffer.add_string buf "{ () }\n")
-      (Grammar.productions_of g nt);
-    Buffer.add_string buf "\n"
   done;
   Buffer.contents buf

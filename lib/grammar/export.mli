@@ -1,10 +1,6 @@
-(** Grammar exporters. *)
+(** Grammar exporter. *)
 
 val to_spec : Grammar.t -> string
 (** Render back to the {!Spec_parser} dialect. Round-trips: reparsing the
     output yields a grammar with the same symbols, productions, precedence
     and conflicts (production numbering may differ). *)
-
-val to_menhir : Grammar.t -> string
-(** A Menhir [.mly] skeleton with [unit] semantic actions; punctuation
-    terminals are renamed to spelled-out token names. *)

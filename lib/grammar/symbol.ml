@@ -18,6 +18,5 @@ let hash = function
   | Nonterminal i -> 2 * i
 
 let is_terminal = function Terminal _ -> true | Nonterminal _ -> false
-let is_nonterminal = function Nonterminal _ -> true | Terminal _ -> false
 
 let eof = Terminal 0

@@ -12,7 +12,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 val is_terminal : t -> bool
-val is_nonterminal : t -> bool
 
 val eof : t
 (** The end-of-input terminal [$] (terminal index 0). *)

@@ -41,11 +41,15 @@ let string_field json field =
   | Some (Json.String s) -> Some s
   | _ -> None
 
-let float_field json field =
+(* A time limit, as the CLI's [--timeout] and [--cumulative-timeout] take
+   it: absent, or a number of seconds, at least 0. *)
+let seconds_field json field =
   match Json.member field json with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int n) -> Some (float_of_int n)
-  | _ -> None
+  | None -> Ok None
+  | Some (Json.Float f) when f >= 0.0 -> Ok (Some f)
+  | Some (Json.Int n) when n >= 0 -> Ok (Some (float_of_int n))
+  | Some _ ->
+    Error (Fmt.str "%S must be a number of seconds, at least 0" field)
 
 let bool_field ~default json field =
   match Json.member field json with
@@ -66,9 +70,14 @@ let parse_request line =
       | Some id -> (
         match op with
         | "analyze" -> (
-          match string_field json "spec" with
-          | None -> bad "analyze requires a string \"spec\" field"
-          | Some spec ->
+          match
+            ( string_field json "spec",
+              seconds_field json "timeout",
+              seconds_field json "cumulative_timeout" )
+          with
+          | None, _, _ -> bad "analyze requires a string \"spec\" field"
+          | _, Error message, _ | _, _, Error message -> bad message
+          | Some spec, Ok per_conflict_timeout, Ok cumulative_timeout ->
             Ok
               (Analyze
                  { id;
@@ -76,8 +85,8 @@ let parse_request line =
                      Option.value ~default:"grammar"
                        (string_field json "name");
                    spec;
-                   per_conflict_timeout = float_field json "timeout";
-                   cumulative_timeout = float_field json "cumulative_timeout";
+                   per_conflict_timeout;
+                   cumulative_timeout;
                    incremental = bool_field ~default:true json "incremental";
                    cross_check = bool_field ~default:false json "cross_check"
                  }))

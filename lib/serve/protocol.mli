@@ -21,7 +21,10 @@ type analyze = {
   name : string;  (** label echoed into the report; default ["grammar"] *)
   spec : string;  (** grammar text in the {!Cfg.Spec_parser} dialect *)
   per_conflict_timeout : float option;
-  cumulative_timeout : float option;
+      (** ["timeout"], in seconds; a request whose ["timeout"] or
+          ["cumulative_timeout"] is present but not a number at least 0 is
+          answered [bad-request], as the CLI rejects such a flag *)
+  cumulative_timeout : float option;  (** ["cumulative_timeout"] *)
   incremental : bool;  (** allow delta reuse from a cached session; default true *)
   cross_check : bool;
       (** also run the from-scratch analysis and embed an equality verdict;

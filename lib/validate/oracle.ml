@@ -118,17 +118,13 @@ let check_nonunifying t (nu : Cex.Nonunifying.t) =
   let prefix = nu.Cex.Nonunifying.prefix in
   let reduce_form = prefix @ nu.Cex.Nonunifying.reduce_continuation in
   let other_form = prefix @ nu.Cex.Nonunifying.other_continuation in
-  let deriv_ok label deriv expected_frontier =
-    match deriv with
-    | None -> []  (* absent trees are legal; the forms carry the witness *)
-    | Some d ->
-      run_checks
-        [ (label ^ "-invalid", fun () -> Derivation.validate g d);
-          ( label ^ "-root-mismatch",
-            fun () -> Symbol.equal (Derivation.root_symbol d) start_symbol );
-          ( label ^ "-frontier-mismatch",
-            fun () -> symbols_equal (Derivation.leaves d) expected_frontier )
-        ]
+  let deriv_ok label d expected_frontier =
+    run_checks
+      [ (label ^ "-invalid", fun () -> Derivation.validate g d);
+        ( label ^ "-root-mismatch",
+          fun () -> Symbol.equal (Derivation.root_symbol d) start_symbol );
+        ( label ^ "-frontier-mismatch",
+          fun () -> symbols_equal (Derivation.leaves d) expected_frontier ) ]
   in
   run_checks
     [ ( "prefix-unreplayable",

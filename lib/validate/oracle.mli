@@ -21,10 +21,9 @@
     symbol of the reduce continuation — or end-of-input for conflicts on the
     EOF lookahead ([conflict-terminal-not-next]) — and requires both
     sentential forms to be derivable from the start symbol
-    ([reduce-form-not-derivable], [other-form-not-derivable]). When the
-    report also carries full derivation trees they are validated and matched
-    against the forms ([deriv{1,2}-invalid], [-root-mismatch],
-    [-frontier-mismatch]).
+    ([reduce-form-not-derivable], [other-form-not-derivable]). Both of its
+    derivation trees are validated and matched against the forms
+    ([deriv{1,2}-invalid], [-root-mismatch], [-frontier-mismatch]).
 
     The bracketed names are the stable failure codes reported in
     {!Cex.Driver.Validation_failed}, the text report and the JSON

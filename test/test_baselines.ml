@@ -102,32 +102,6 @@ let prop_brute_force_witness_valid =
           ~start:(Symbol.Nonterminal (Grammar.start g))
           (List.map (fun t -> Symbol.Terminal t) sentence))
 
-let test_sampler_ambiguous () =
-  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.expr_plus in
-  let r = Baselines.Sampler.search ~max_samples:500 ~max_len:12 g in
-  match r.Baselines.Sampler.ambiguous with
-  | None -> Alcotest.fail "sampler should find expr_plus ambiguous"
-  | Some sentence ->
-    let e = Earley.make g in
-    Alcotest.(check bool) "witness verified" true
-      (Earley.ambiguous_from e
-         ~start:(Symbol.Nonterminal (Grammar.start g))
-         (List.map (fun t -> Symbol.Terminal t) sentence))
-
-let test_sampler_unambiguous () =
-  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure3 in
-  let r = Baselines.Sampler.search ~max_samples:300 ~max_len:10 ~time_limit:3.0 g in
-  Alcotest.(check bool) "no false positive" true
-    (r.Baselines.Sampler.ambiguous = None);
-  Alcotest.(check bool) "sampled something" true (r.Baselines.Sampler.samples > 0)
-
-let test_sampler_deterministic_seed () =
-  let g = Spec_parser.grammar_of_string_exn Corpus.Paper_grammars.figure1 in
-  let run () =
-    (Baselines.Sampler.search ~seed:7 ~max_samples:200 g).Baselines.Sampler.ambiguous
-  in
-  Alcotest.(check bool) "same seed, same witness" true (run () = run ())
-
 let suite =
   ( "baselines",
     [ Alcotest.test_case "naive dangling else misleading" `Quick
@@ -140,9 +114,4 @@ let suite =
       Alcotest.test_case "brute force on figure1" `Quick
         test_brute_force_figure1;
       Alcotest.test_case "bounded checker" `Quick test_bounded_checker;
-      Alcotest.test_case "sampler on ambiguous" `Quick test_sampler_ambiguous;
-      Alcotest.test_case "sampler on unambiguous" `Quick
-        test_sampler_unambiguous;
-      Alcotest.test_case "sampler deterministic" `Quick
-        test_sampler_deterministic_seed;
       QCheck_alcotest.to_alcotest prop_brute_force_witness_valid ] )

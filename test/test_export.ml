@@ -50,20 +50,6 @@ let test_roundtrip_precedence () =
   in
   Alcotest.(check bool) "%prec tag survives" true tagged
 
-let test_menhir_shape () =
-  let g = Corpus.grammar (Corpus.find "figure1") in
-  let mly = Export.to_menhir g in
-  let contains needle =
-    let n = String.length needle and m = String.length mly in
-    let rec go i = i + n <= m && (String.sub mly i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "has %token lines" true (contains "%token IF");
-  Alcotest.(check bool) "has start decl" true (contains "%start <unit> stmt");
-  Alcotest.(check bool) "renames punctuation" true (contains "QUESTION");
-  Alcotest.(check bool) "has unit actions" true (contains "{ () }");
-  Alcotest.(check bool) "rule separator" true (contains "%%")
-
 let prop_random_roundtrip =
   QCheck.Test.make ~name:"export/reparse round-trip on random grammars"
     ~count:100 (QCheck.make Test_analysis.gen_spec) (fun source ->
@@ -79,5 +65,4 @@ let suite =
     [ Alcotest.test_case "corpus round-trip" `Quick test_roundtrip_corpus;
       Alcotest.test_case "precedence round-trip" `Quick
         test_roundtrip_precedence;
-      Alcotest.test_case "menhir shape" `Quick test_menhir_shape;
       QCheck_alcotest.to_alcotest prop_random_roundtrip ] )

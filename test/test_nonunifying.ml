@@ -123,23 +123,24 @@ let check_derivations source =
   List.iter
     (fun c ->
       let nu = construct lalr c in
-      let check_side deriv continuation =
-        match deriv with
-        | None -> Alcotest.fail "expected a derivation tree"
-        | Some d ->
-          Alcotest.(check bool) "valid" true (Derivation.validate g d);
-          Alcotest.(check bool) "rooted at START" true
-            (Symbol.equal (Derivation.root_symbol d) (Symbol.Nonterminal 0));
-          Alcotest.(check (list string))
-            "frontier = prefix @ continuation"
-            (List.map (Grammar.symbol_name g)
-               (nu.Cex.Nonunifying.prefix @ continuation))
-            (List.map (Grammar.symbol_name g) (Derivation.leaves d));
-          Alcotest.(check (option int))
-            "conflict marker after the prefix"
-            (Some (List.length nu.Cex.Nonunifying.prefix))
-            (Derivation.frontier_dot_position d)
+      let check_side d continuation =
+        Alcotest.(check bool) "valid" true (Derivation.validate g d);
+        Alcotest.(check bool) "rooted at START" true
+          (Symbol.equal (Derivation.root_symbol d) (Symbol.Nonterminal 0));
+        Alcotest.(check (list string))
+          "frontier = prefix @ continuation"
+          (List.map (Grammar.symbol_name g)
+             (nu.Cex.Nonunifying.prefix @ continuation))
+          (List.map (Grammar.symbol_name g) (Derivation.leaves d));
+        Alcotest.(check (option int))
+          "conflict marker after the prefix"
+          (Some (List.length nu.Cex.Nonunifying.prefix))
+          (Derivation.frontier_dot_position d)
       in
+      Alcotest.(check (list string))
+        "prefix = the path's transition symbols"
+        (names g (Cex.Lookahead_path.prefix_symbols nu.Cex.Nonunifying.path))
+        (names g nu.Cex.Nonunifying.prefix);
       check_side nu.Cex.Nonunifying.deriv1 nu.Cex.Nonunifying.reduce_continuation;
       (* The shift-side marker sits mid-item but still right after the shared
          prefix. *)

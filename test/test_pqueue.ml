@@ -1,6 +1,6 @@
 let drain q =
   let rec go q acc =
-    match Cex.Pqueue.pop q with
+    match Pqueue.pop q with
     | None -> List.rev acc
     | Some (p, v, q') -> go q' ((p, v) :: acc)
   in
@@ -9,8 +9,8 @@ let drain q =
 let test_ordering () =
   let q =
     List.fold_left
-      (fun q (p, v) -> Cex.Pqueue.add q p v)
-      Cex.Pqueue.empty
+      (fun q (p, v) -> Pqueue.add q p v)
+      Pqueue.empty
       [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ]
   in
   Alcotest.(check (list string))
@@ -21,8 +21,8 @@ let test_ordering () =
 let test_fifo_ties () =
   let q =
     List.fold_left
-      (fun q v -> Cex.Pqueue.add q 7 v)
-      Cex.Pqueue.empty [ "first"; "second"; "third" ]
+      (fun q v -> Pqueue.add q 7 v)
+      Pqueue.empty [ "first"; "second"; "third" ]
   in
   Alcotest.(check (list string))
     "equal priorities pop in insertion order"
@@ -30,21 +30,21 @@ let test_fifo_ties () =
     (List.map snd (drain q))
 
 let test_persistence () =
-  let q1 = Cex.Pqueue.add Cex.Pqueue.empty 1 "x" in
-  let q2 = Cex.Pqueue.add q1 0 "y" in
+  let q1 = Pqueue.add Pqueue.empty 1 "x" in
+  let q2 = Pqueue.add q1 0 "y" in
   (* Popping q2 must not affect q1. *)
-  (match Cex.Pqueue.pop q2 with
+  (match Pqueue.pop q2 with
   | Some (0, "y", _) -> ()
   | _ -> Alcotest.fail "expected y first from q2");
-  match Cex.Pqueue.pop q1 with
+  match Pqueue.pop q1 with
   | Some (1, "x", rest) ->
-    Alcotest.(check bool) "q1 had one element" true (Cex.Pqueue.is_empty rest)
+    Alcotest.(check bool) "q1 had one element" true (Pqueue.is_empty rest)
   | _ -> Alcotest.fail "q1 disturbed by operations on q2"
 
 let test_size () =
-  let q = Cex.Pqueue.add (Cex.Pqueue.add Cex.Pqueue.empty 2 'a') 1 'b' in
-  Alcotest.(check int) "size" 2 (Cex.Pqueue.size q);
-  Alcotest.(check bool) "not empty" false (Cex.Pqueue.is_empty q)
+  let q = Pqueue.add (Pqueue.add Pqueue.empty 2 'a') 1 'b' in
+  Alcotest.(check int) "size" 2 (Pqueue.size q);
+  Alcotest.(check bool) "not empty" false (Pqueue.is_empty q)
 
 let prop_heap_sort =
   QCheck.Test.make ~name:"pqueue drains in nondecreasing priority order"
@@ -53,8 +53,8 @@ let prop_heap_sort =
     (fun priorities ->
       let q =
         List.fold_left
-          (fun q p -> Cex.Pqueue.add q p p)
-          Cex.Pqueue.empty priorities
+          (fun q p -> Pqueue.add q p p)
+          Pqueue.empty priorities
       in
       let drained = List.map fst (drain q) in
       drained = List.sort Int.compare priorities)
@@ -67,7 +67,7 @@ let prop_heap_sort =
    (priority, value) pair; [`Clear] empties the bucket queue in place and
    restarts the reference from empty. Occasional priorities in the
    thousands grow the bucket array, so that a cleared queue is reused at
-   low priorities, as the per-domain scratch pools reuse theirs. *)
+   low priorities, as the searches' scratch pools reuse theirs. *)
 let bucket_ops =
   let open QCheck.Gen in
   let op =
@@ -92,7 +92,7 @@ let prop_bucket_matches_pqueue =
     bucket_ops
     (fun ops ->
       let bq = Cex.Bucket_queue.create () in
-      let pq = ref Cex.Pqueue.empty in
+      let pq = ref Pqueue.empty in
       let serial = ref 0 in
       List.for_all
         (fun op ->
@@ -100,14 +100,14 @@ let prop_bucket_matches_pqueue =
           | `Add p ->
             incr serial;
             Cex.Bucket_queue.add bq p !serial;
-            pq := Cex.Pqueue.add !pq p !serial;
+            pq := Pqueue.add !pq p !serial;
             true
           | `Clear ->
             Cex.Bucket_queue.clear bq;
-            pq := Cex.Pqueue.empty;
+            pq := Pqueue.empty;
             Cex.Bucket_queue.is_empty bq
           | `Pop -> (
-            match Cex.Pqueue.pop !pq with
+            match Pqueue.pop !pq with
             | None -> Cex.Bucket_queue.is_empty bq
             | Some (pp, pv, pq') ->
               pq := pq';
@@ -117,7 +117,7 @@ let prop_bucket_matches_pqueue =
               let bv = Cex.Bucket_queue.pop bq in
               bp = pp && bv = pv))
         ops
-      && Cex.Bucket_queue.size bq = Cex.Pqueue.size !pq)
+      && Cex.Bucket_queue.size bq = Pqueue.size !pq)
 
 let test_bucket_empty () =
   let q = Cex.Bucket_queue.create () in

@@ -313,6 +313,23 @@ let test_malformed_input_hardening () =
       let r = rpc c (analyze_line ~id:"alive" dangling) in
       check_ok "alive" r)
 
+(* Time limits are checked as the CLI checks [--timeout]: a negative or
+   non-numeric limit is a bad request, not a search that times out at once
+   or a limit silently dropped. *)
+let test_time_limits_checked () =
+  with_server ~clients:1 (fun _server clients ->
+      let c = List.hd clients in
+      List.iter
+        (fun (id, extra) ->
+          check_error (Some id) "bad-request"
+            (rpc c (analyze_line ~id ~extra dangling)))
+        [ ("negative", ",\"timeout\":-1");
+          ("negative-cumulative", ",\"cumulative_timeout\":-3");
+          ("non-numeric", ",\"timeout\":\"soon\"");
+          ("non-numeric-cumulative", ",\"cumulative_timeout\":null") ];
+      check_ok "zero"
+        (rpc c (analyze_line ~id:"zero" ~extra:",\"timeout\":0.0" dangling)))
+
 let test_overload_backpressure () =
   with_server ~queue_limit:1 ~clients:1 (fun _server clients ->
       let c = List.hd clients in
@@ -412,6 +429,7 @@ let suite =
         test_delta_reuse_on_one_production_edit;
       Alcotest.test_case "malformed input hardening" `Quick
         test_malformed_input_hardening;
+      Alcotest.test_case "time limits checked" `Quick test_time_limits_checked;
       Alcotest.test_case "overload backpressure" `Quick
         test_overload_backpressure;
       Alcotest.test_case "graceful drain" `Quick test_graceful_drain;

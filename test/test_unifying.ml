@@ -235,22 +235,25 @@ let prop_unifying_sound =
 
 (* Allocation per explored configuration, gated as a work counter: with one
    domain, the words a search allocates in both heaps are a deterministic
-   function of the grammar, the budget, the compiler and what the domain's
-   search arena already holds. Paths are found before the measurement
-   starts, so only [Product_search.search] is counted, at 10,000
-   configurations. Two populations are gated: the corpus slice, summed over
-   its searches, and each capped search of stress-large-2, whose unit cycle
-   [N8 : N8] pumps sequences past 1,000 entries.
+   function of the grammar, the budget, the compiler and what the search
+   arena it takes from the free list already holds. Paths are found before
+   the measurement starts, so only [Product_search.search] is counted, at
+   10,000 configurations. Two populations are gated: the corpus slice,
+   summed over its searches, and each capped search of stress-large-2,
+   whose unit cycle [N8 : N8] pumps sequences past 1,000 entries.
 
    Both run twice in a fresh domain, the slice first. The first round grows
-   the search arena from empty: 26.8 words per configuration on the slice,
-   where SQL.4's 60,000 queued configurations set the arena's size, and at
-   most 13.9 on the stress-large-2 searches, with OCaml 5.1.1. The second
-   round reuses the arena, as every search of a long batch does: 0.39 words
-   per configuration on the slice, what each search allocates besides its
-   configurations, and 0.02 on each stress-large-2 search. Both bounds add
-   10%. Before the arena, every configuration was a heap block: the slice
-   read 97.3 words and the stress-large-2 searches 835 to 990. *)
+   the arena that the free list hands that domain, which holds what the
+   process's earlier searches grew. Run alone, the test starts from an empty
+   arena: 26.8 words per configuration on the slice, where SQL.4's 60,000
+   queued configurations set the arena's size, and at most 13.9 on the
+   stress-large-2 searches, with OCaml 5.1.1; after the rest of the suite,
+   the slice reads 24.5. The second round reuses the arena, as every search
+   of a long batch does: 0.39 words per configuration on the slice, what
+   each search allocates besides its configurations, and 0.02 on each
+   stress-large-2 search. Both bounds add 10% to the figures from empty.
+   Before the arena, every configuration was a heap block: the slice read
+   97.3 words and the stress-large-2 searches 835 to 990. *)
 let alloc_slice = [ "Java.1"; "C.1"; "Pascal.1"; "SQL.4"; "stackovf10" ]
 let alloc_cold_bound = 29.5
 let alloc_warm_bound = 0.43
@@ -297,8 +300,8 @@ let test_alloc_per_config () =
   let slice =
     List.map (fun name -> setup (Corpus.find name).Corpus.source) alloc_slice
   and stress = setup (Corpus.Stress.source 2) in
-  (* A fresh domain starts from an empty search arena, whatever ran before
-     on this one. *)
+  (* A fresh domain, like a fan-out's worker, takes its arena from the free
+     list. *)
   let cold, warm =
     Domain.join
       (Domain.spawn (fun () ->
