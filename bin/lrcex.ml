@@ -19,16 +19,15 @@ let load_grammar path =
    rejected an emitted counterexample (--validate), else 2 when conflicts
    remain, else 3 when --lint-error was given and an error-severity
    diagnostic fired. *)
-let validation_failed report = Cex_validate.Oracle.n_invalid report > 0
-
-let lint_exit ~lint_error ~has_conflicts diagnostics =
-  if has_conflicts then 2
-  else if
-    lint_error
-    && List.exists Cex_lint.Diagnostic.has_errors
-         (List.filter_map Fun.id diagnostics)
-  then 3
+let exit_code ~invalid ~has_conflicts ~lint_failed =
+  if invalid then 4
+  else if has_conflicts then 2
+  else if lint_failed then 3
   else 0
+
+let lint_failed ~lint_error diagnostics =
+  lint_error
+  && Option.fold ~none:false ~some:Cex_lint.Diagnostic.has_errors diagnostics
 
 let pp_lint_section g ppf = function
   | None -> ()
@@ -129,11 +128,10 @@ let run path options jobs json trace lint lint_error validate show_states
       if trace then
         Fmt.pr "%a@?" pp_trace_section report.Cex.Driver.metrics
     end;
-    if validate && validation_failed report then 4
-    else
-      lint_exit ~lint_error
-        ~has_conflicts:(Automaton.Parse_table.conflicts table <> [])
-        [ diagnostics ]
+    exit_code
+      ~invalid:(validate && Cex_validate.Oracle.n_invalid report > 0)
+      ~has_conflicts:(Automaton.Parse_table.conflicts table <> [])
+      ~lint_failed:(lint_failed ~lint_error diagnostics)
 
 (* ------------------------------------------------------------------ *)
 (* The batch command. *)
@@ -163,7 +161,7 @@ let load_batch_entries paths use_corpus =
   in
   if errors <> [] then Error (String.concat "\n" errors) else Ok entries
 
-(* The grammar list of batch, validate and lint, as {!grammars_term} gives
+(* The grammar list of batch and lint, as {!grammars_term} gives
    it to a command: the loaded grammars, or [None] after printing why there
    are none to [verb] (the command then exits 1). *)
 let load_grammars ~verb ~hint paths use_corpus ~allow_empty =
@@ -185,49 +183,59 @@ let validate_batch_result (r : Cex_service.Scheduler.batch_result) =
       Cex_validate.Oracle.validate_report oracle
         r.Cex_service.Scheduler.report }
 
-(* The streaming pipeline: one minified NDJSON record per grammar the
-   moment its window completes, one final summary record. Validation and
-   lint run per grammar inside the emit callback, so nothing about a
-   finished grammar is retained beyond its line and the running totals. *)
-let run_batch_stream service ~window ~lint ~lint_error ~validate ~entries =
-  let totals = ref Cex_service.Scheduler.zero_totals in
-  let has_conflicts = ref false in
-  let oracle_failed = ref false in
-  let lint_failed = ref false in
-  let emit (r : Cex_service.Scheduler.batch_result) =
-    let r = if validate then validate_batch_result r else r in
-    let report = r.Cex_service.Scheduler.report in
-    let diagnostics =
-      if lint || lint_error then Some (Cex_lint.Lint.run report.Cex.Driver.table)
-      else None
-    in
-    totals := Cex_service.Scheduler.add_totals !totals r;
-    if report.Cex.Driver.conflict_reports <> [] then has_conflicts := true;
-    if validate && validation_failed report then oracle_failed := true;
-    (match diagnostics with
-    | Some diags when Cex_lint.Diagnostic.has_errors diags -> lint_failed := true
-    | _ -> ());
-    print_string
-      (Cex_service.Json.to_string ~minify:true
-         (Cex_service.Json_report.stream_grammar_to_json ?diagnostics r));
-    print_newline ();
-    flush stdout
-  in
-  let stats =
-    Cex_service.Scheduler.analyze_batch_emit ~window service ~emit entries
-  in
-  print_string
-    (Cex_service.Json.to_string ~minify:true
-       (Cex_service.Json_report.stream_summary_to_json ~totals:!totals stats));
-  print_newline ();
-  flush stdout;
-  if !oracle_failed then 4
-  else if !has_conflicts then 2
-  else if lint_error && !lint_failed then 3
-  else 0
+let print_record json =
+  print_string (Cex_service.Json.to_string ~minify:true json);
+  print_newline ()
 
+(* A grammar's text lines: its summary, then with --validate its oracle
+   verdicts (each rejected counterexample with its conflict's terminal and
+   outcome), with --lint its diagnostics, and with --trace the metrics of
+   a fresh analysis. *)
+let print_batch_grammar ~validate ~trace diagnostics
+    (r : Cex_service.Scheduler.batch_result) =
+  let report = r.Cex_service.Scheduler.report in
+  let g = Cex.Driver.grammar report in
+  Fmt.pr "%-16s %3d conflicts: %3d unifying, %3d nonunifying, %3d \
+          timed out  (%6.3fs)%s@."
+    r.Cex_service.Scheduler.name
+    (List.length report.Cex.Driver.conflict_reports)
+    (Cex.Driver.n_unifying report)
+    (Cex.Driver.n_nonunifying report)
+    (Cex.Driver.n_timeout report)
+    report.Cex.Driver.total_elapsed
+    (if r.Cex_service.Scheduler.from_cache then "  [cached]" else "");
+  if validate then begin
+    let invalid = Cex_validate.Oracle.n_invalid report in
+    Fmt.pr "    validation: %d valid%s@."
+      (Cex_validate.Oracle.n_validated report)
+      (if invalid = 0 then "" else Fmt.str ", %d INVALID" invalid);
+    List.iter
+      (fun (cr : Cex.Driver.conflict_report) ->
+        match cr.Cex.Driver.validation with
+        | Cex.Driver.Validation_failed codes ->
+          let c = cr.Cex.Driver.conflict in
+          Fmt.pr "      state %d, terminal %s [%s]: %s@."
+            c.Automaton.Conflict.state
+            (Cfg.Grammar.terminal_name g c.Automaton.Conflict.terminal)
+            (Cex_service.Json_report.outcome_string cr.Cex.Driver.outcome)
+            (String.concat ", " codes)
+        | _ -> ())
+      (Cex_validate.Oracle.invalid_reports report)
+  end;
+  Option.iter
+    (List.iter (fun d -> Fmt.pr "    %a@." (Cex_lint.Diagnostic.pp g) d))
+    diagnostics;
+  if trace && not r.Cex_service.Scheduler.from_cache then
+    Fmt.pr "%a@?" pp_trace_section report.Cex.Driver.metrics
+
+(* Grammars stream through the scheduler's window, and each one's output
+   is printed the moment its window completes: with --json one NDJSON
+   grammar record, else its text lines. Validation and lint run per grammar
+   inside the emit callback, so nothing about a finished grammar is kept
+   beyond its output and the running totals. The run ends with one summary:
+   a summary record, or the scheduler stats. *)
 let run_batch grammars stress options jobs json trace lint lint_error validate
-    cache_size repeat stream window =
+    cache_size window =
   match grammars ~allow_empty:(stress > 0) with
   | None -> 1
   | Some listed ->
@@ -238,142 +246,33 @@ let run_batch grammars stress options jobs json trace lint lint_error validate
     let service =
       Cex_service.Scheduler.create ~options ~jobs ~cache_capacity:cache_size ()
     in
-    if stream then
-      run_batch_stream service ~window ~lint ~lint_error ~validate ~entries
-    else begin
-    let entries = List.of_seq entries in
-    let results = ref [] in
-    let stats = ref None in
-    for _ = 1 to repeat do
-      let rs, st =
-        Cex_service.Scheduler.analyze_batch ~window service entries
+    let totals = ref Cex_service.Scheduler.zero_totals in
+    let any_lint_failed = ref false in
+    let emit r =
+      let r = if validate then validate_batch_result r else r in
+      let report = r.Cex_service.Scheduler.report in
+      let diagnostics =
+        if lint || lint_error then Some (Cex_lint.Lint.run report.Cex.Driver.table)
+        else None
       in
-      results := rs;
-      stats := Some st
-    done;
-    let results = !results and stats = Option.get !stats in
-    let results =
-      if validate then List.map validate_batch_result results else results
+      totals := Cex_service.Scheduler.add_totals !totals r;
+      if lint_failed ~lint_error diagnostics then any_lint_failed := true;
+      if json then
+        print_record
+          (Cex_service.Json_report.stream_grammar_to_json ?diagnostics r)
+      else print_batch_grammar ~validate ~trace diagnostics r
     in
-    let diagnostics =
-      List.map
-        (fun (r : Cex_service.Scheduler.batch_result) ->
-          if lint || lint_error then
-            Some
-              (Cex_lint.Lint.run
-                 r.Cex_service.Scheduler.report.Cex.Driver.table)
-          else None)
-        results
+    let stats =
+      Cex_service.Scheduler.analyze_batch_emit ~window service ~emit entries
     in
     if json then
-      Fmt.pr "%s@."
-        (Cex_service.Json.to_string
-           (Cex_service.Json_report.batch_to_json ~stats ~lint:diagnostics
-              results))
-    else begin
-      List.iter2
-        (fun (r : Cex_service.Scheduler.batch_result) diags ->
-          let report = r.Cex_service.Scheduler.report in
-          Fmt.pr "%-16s %3d conflicts: %3d unifying, %3d nonunifying, %3d \
-                  timed out  (%6.3fs)%s@."
-            r.Cex_service.Scheduler.name
-            (List.length report.Cex.Driver.conflict_reports)
-            (Cex.Driver.n_unifying report)
-            (Cex.Driver.n_nonunifying report)
-            (Cex.Driver.n_timeout report)
-            report.Cex.Driver.total_elapsed
-            (if r.Cex_service.Scheduler.from_cache then "  [cached]" else "");
-          if validate then begin
-            let invalid = Cex_validate.Oracle.n_invalid report in
-            Fmt.pr "    validation: %d valid%s@."
-              (Cex_validate.Oracle.n_validated report)
-              (if invalid = 0 then "" else Fmt.str ", %d INVALID" invalid);
-            List.iter
-              (fun (cr : Cex.Driver.conflict_report) ->
-                match cr.Cex.Driver.validation with
-                | Cex.Driver.Validation_failed codes ->
-                  Fmt.pr "      state %d: %s@."
-                    cr.Cex.Driver.conflict.Automaton.Conflict.state
-                    (String.concat ", " codes)
-                | _ -> ())
-              (Cex_validate.Oracle.invalid_reports report)
-          end;
-          Option.iter
-            (fun diags ->
-              let g = Cex.Driver.grammar report in
-              List.iter
-                (fun d ->
-                  Fmt.pr "    %a@." (Cex_lint.Diagnostic.pp g) d)
-                diags)
-            diags;
-          if trace && not r.Cex_service.Scheduler.from_cache then
-            Fmt.pr "%a@?" pp_trace_section report.Cex.Driver.metrics)
-        results diagnostics;
-      Fmt.pr "@.%a@." Cex_service.Stats.pp_summary stats
-    end;
-    if
-      validate
-      && List.exists
-           (fun (r : Cex_service.Scheduler.batch_result) ->
-             validation_failed r.Cex_service.Scheduler.report)
-           results
-    then 4
-    else
-      lint_exit ~lint_error
-        ~has_conflicts:
-          (List.exists
-             (fun (r : Cex_service.Scheduler.batch_result) ->
-               r.Cex_service.Scheduler.report.Cex.Driver.conflict_reports <> [])
-             results)
-        diagnostics
-    end
-
-(* ------------------------------------------------------------------ *)
-(* The validate command: analyze, then machine-check every emitted
-   counterexample through the oracle. Unlike analyze/batch it exits 0 even
-   when conflicts exist — its verdict is about the counterexamples, not the
-   grammar — and 4 as soon as one fails the oracle (the CI hard gate). *)
-
-let run_validate grammars options jobs json =
-  match grammars ~allow_empty:false with
-  | None -> 1
-  | Some entries ->
-    let service = Cex_service.Scheduler.create ~options ~jobs () in
-    let results, stats = Cex_service.Scheduler.analyze_batch service entries in
-    let results = List.map validate_batch_result results in
-    if json then
-      Fmt.pr "%s@."
-        (Cex_service.Json.to_string
-           (Cex_service.Json_report.batch_to_json ~stats results))
-    else
-      List.iter
-        (fun (r : Cex_service.Scheduler.batch_result) ->
-          let report = r.Cex_service.Scheduler.report in
-          let invalid = Cex_validate.Oracle.n_invalid report in
-          Fmt.pr "%-16s %3d conflicts: %3d counterexamples valid%s@."
-            r.Cex_service.Scheduler.name
-            (List.length report.Cex.Driver.conflict_reports)
-            (Cex_validate.Oracle.n_validated report)
-            (if invalid = 0 then "" else Fmt.str ", %d INVALID" invalid);
-          List.iter
-            (fun (cr : Cex.Driver.conflict_report) ->
-              match cr.Cex.Driver.validation with
-              | Cex.Driver.Validation_failed codes ->
-                Fmt.pr "    state %d, terminal %d [%s]: %s@."
-                  cr.Cex.Driver.conflict.Automaton.Conflict.state
-                  cr.Cex.Driver.conflict.Automaton.Conflict.terminal
-                  (Cex_service.Json_report.outcome_string cr.Cex.Driver.outcome)
-                  (String.concat ", " codes)
-              | _ -> ())
-            (Cex_validate.Oracle.invalid_reports report))
-        results;
-    if
-      List.exists
-        (fun (r : Cex_service.Scheduler.batch_result) ->
-          validation_failed r.Cex_service.Scheduler.report)
-        results
-    then 4
-    else 0
+      print_record
+        (Cex_service.Json_report.stream_summary_to_json ~totals:!totals stats)
+    else Fmt.pr "@.%a@." Cex_service.Stats.pp_summary stats;
+    exit_code
+      ~invalid:(!totals.Cex_service.Scheduler.total_invalid > 0)
+      ~has_conflicts:(!totals.Cex_service.Scheduler.total_conflicts > 0)
+      ~lint_failed:!any_lint_failed
 
 (* ------------------------------------------------------------------ *)
 (* The lint command: static diagnostics only, no counterexample search. *)
@@ -560,7 +459,7 @@ let run_client socket tcp script zero_floats =
 
 open Cmdliner
 
-(* The search options of analyze, batch, validate and serve. *)
+(* The search options of analyze, batch and serve. *)
 let options_term =
   let defaults = Cex.Driver.default_options in
   let timeout =
@@ -606,7 +505,9 @@ let jobs_arg ~default ~absent =
 let json_arg =
   Arg.(
     value & flag
-    & info [ "json" ] ~doc:"Emit a machine-readable JSON report on stdout.")
+    & info [ "json" ]
+        ~doc:"Emit machine-readable JSON on stdout: one report, or for a \
+              batch one NDJSON record per line.")
 
 let trace_arg =
   Arg.(
@@ -647,7 +548,7 @@ let path_arg =
     & info [] ~docv:"GRAMMAR"
         ~doc:"Grammar file in the yacc-like format ('-' for stdin).")
 
-(* The grammar list of batch, validate and lint: GRAMMAR files and
+(* The grammar list of batch and lint: GRAMMAR files and
    --corpus, loaded by {!load_grammars}. *)
 let grammars_term ~verb ~hint =
   let paths_arg =
@@ -713,34 +614,13 @@ let batch_cmd =
           ~doc:"Capacity (entries) of the content-addressed automaton and \
                 report caches.")
   in
-  let repeat_arg =
-    Arg.(
-      value & opt Flags.count 1
-      & info [ "repeat" ] ~docv:"N"
-          ~doc:"Run the whole batch $(docv) times against one service \
-                instance (demonstrates cache hits; stats are from the last \
-                run). Ignored with $(b,--stream).")
-  in
   let stress_arg =
     Arg.(
       value & opt Flags.natural 0
       & info [ "stress" ] ~docv:"N"
           ~doc:"Also analyze the first $(docv) grammars of the generated \
                 stress tier — deterministic seeded grammars banded by size \
-                and ambiguity, regenerated on demand and never stored. \
-                Combine with $(b,--stream) to keep memory flat over \
-                thousands of grammars.")
-  in
-  let stream_arg =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:"Stream results as NDJSON: one $(b,record:grammar) object \
-                per line the moment a grammar's window completes, then one \
-                final $(b,record:summary) line. Grammars are pulled \
-                lazily and released after emission, so peak memory depends \
-                on $(b,--window) and $(b,--cache-size), not batch length. \
-                Implies JSON output.")
+                and ambiguity, regenerated on demand and never stored.")
   in
   let window_arg =
     Arg.(
@@ -748,10 +628,17 @@ let batch_cmd =
       & opt Flags.count Cex_service.Scheduler.default_window
       & info [ "window" ] ~docv:"N"
           ~doc:"In-flight window of the batch pipeline (grammars prepared \
-                and analyzed together). Per-grammar reports are \
+                and analyzed together). Each grammar's output is printed \
+                as its window completes, and the window is released, so \
+                peak memory depends on $(docv) and $(b,--cache-size), not \
+                on the batch length. Per-grammar reports are \
                 byte-identical at any window size.")
   in
-  let doc = "analyze many grammars through the batch service" in
+  let doc =
+    "analyze many grammars through the batch service; with $(b,--json), \
+     one NDJSON $(b,record:grammar) line per grammar, then one \
+     $(b,record:summary) line"
+  in
   Cmd.v
     (Cmd.info "batch" ~doc)
     Term.(
@@ -759,21 +646,7 @@ let batch_cmd =
       $ grammars_term ~verb:"analyze" ~hint:"files, --corpus or --stress N"
       $ stress_arg $ options_term
       $ jobs_arg ~default:1 ~absent:"1" $ json_arg $ trace_arg $ lint_arg
-      $ lint_error_arg $ validate_arg $ cache_arg $ repeat_arg $ stream_arg
-      $ window_arg)
-
-let validate_cmd =
-  let doc =
-    "analyze grammars and machine-check every emitted counterexample \
-     through the validation oracle; exits 4 when a counterexample fails a \
-     check, 0 otherwise (even when conflicts exist)"
-  in
-  Cmd.v
-    (Cmd.info "validate" ~doc)
-    Term.(
-      const run_validate
-      $ grammars_term ~verb:"validate" ~hint:"files or --corpus"
-      $ options_term $ jobs_arg ~default:1 ~absent:"1" $ json_arg)
+      $ lint_error_arg $ validate_arg $ cache_arg $ window_arg)
 
 let lint_cmd =
   let enable_arg =
@@ -831,7 +704,8 @@ let serve_cmd =
     Arg.(
       value & opt Flags.count 128
       & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Total capacity (entries) of the session and report caches.")
+          ~doc:"Capacity (entries) of the session cache and of the report \
+                cache.")
   in
   let doc =
     "run a persistent analysis server speaking newline-delimited JSON over \
@@ -879,7 +753,7 @@ let cmd =
   Cmd.group
     (Cmd.info "lrcex" ~version:"1.1.0" ~doc)
     ~default:analyze_term
-    [ analyze_cmd; batch_cmd; validate_cmd; lint_cmd; serve_cmd; client_cmd ]
+    [ analyze_cmd; batch_cmd; lint_cmd; serve_cmd; client_cmd ]
 
 (* Backward compatibility: `lrcex my.y` (no subcommand) still analyzes the
    file, as the original single-command CLI did. cmdliner groups would
@@ -891,7 +765,7 @@ let () =
       Array.length argv > 1
       && (argv.(1) = "-" || String.length argv.(1) = 0 || argv.(1).[0] <> '-')
       && argv.(1) <> "analyze" && argv.(1) <> "batch" && argv.(1) <> "lint"
-      && argv.(1) <> "validate" && argv.(1) <> "serve" && argv.(1) <> "client"
+      && argv.(1) <> "serve" && argv.(1) <> "client"
     then
       Array.concat
         [ [| argv.(0); "analyze" |]; Array.sub argv 1 (Array.length argv - 1) ]

@@ -27,16 +27,9 @@ let run names with_baseline timeout cumulative quick jobs lint =
   in
   Fmt.pr "%a" Evaluation.pp_header ();
   let rows =
-    if jobs <= 1 then
-      Evaluation.run_rows ~options ~with_baseline
-        ~on_row:(fun row -> Fmt.pr "%a%!" Evaluation.pp_row row)
-        entries
-    else begin
-      (* Parallel rows complete out of order; print once, in table order. *)
-      let rows = Evaluation.run_rows ~options ~with_baseline ~jobs entries in
-      List.iter (fun row -> Fmt.pr "%a%!" Evaluation.pp_row row) rows;
-      rows
-    end
+    Evaluation.run_rows ~options ~with_baseline ~jobs
+      ~on_row:(fun row -> Fmt.pr "%a%!" Evaluation.pp_row row)
+      entries
   in
   Fmt.pr "@.";
   Evaluation.pp_effectiveness Fmt.stdout (Evaluation.effectiveness rows);
@@ -66,7 +59,8 @@ let jobs_arg =
   Arg.(
     value & opt Flags.count 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Compute table rows on $(docv) worker domains in parallel.")
+        ~doc:"Analyze each row's conflicts on $(docv) worker domains in \
+              parallel.")
 
 let lint_arg =
   Arg.(

@@ -8,8 +8,8 @@
     The driver never asserts: every failure mode — a plain syntax error, an
     invalid input token, or a structurally defective table (missing goto,
     underflowing reduction) — comes back as a {!error}. This matters to the
-    validation oracle and the fuzzer, which replay automata for arbitrary
-    generated grammars. *)
+    runner's property tests, which replay the tables of arbitrary generated
+    grammars. *)
 
 open Cfg
 

@@ -72,7 +72,8 @@ type report = {
   total_elapsed : float;
       (** the seconds the caller spent on the session before the fan-out
           ({!pending.spent}: nothing for {!analyze_session}, the session
-          build in a batch), plus the budget the conflicts consumed: their
+          build in a batch, the seconds since its report-cache miss in the
+          server), plus the budget the conflicts consumed: their
           [elapsed], summed in conflict order. At [jobs > 1] this is search
           time consumed, not wall time. *)
   metrics : Cex_session.Trace.metrics;

@@ -2,18 +2,17 @@ open Cfg
 
 (* The stress tier: grammar [i] is a pure function of [i] via a fixed RNG
    seed, so the ~10k-grammar corpus is never committed as text and every
-   process regenerates it byte-identically. The generation recipe mirrors
-   the differential fuzzer's (lib/validate/fuzz.ml): the first alternative
-   of every nonterminal is all-terminal, making every nonterminal
-   productive by construction, which the analysis pipeline assumes. The
-   generator is duplicated rather than shared because the corpus library
-   deliberately sits below cex_validate in the dependency order (the
-   fuzzer analyses corpus grammars). *)
+   process regenerates it byte-identically. The first alternative of every
+   nonterminal is all-terminal, making every nonterminal productive by
+   construction, which the analysis pipeline assumes. The differential
+   fuzzer (lib/evaluation/fuzz.ml) generates its grammars with the same
+   [gen_spec]. *)
 
 type band = {
   band_name : string;
   min_nonterminals : int;
   max_nonterminals : int;
+  max_terminals : int;
   max_alts : int;
   max_rhs : int;
   ambiguous_core : bool;
@@ -23,24 +22,28 @@ let bands =
   [ { band_name = "small";
       min_nonterminals = 2;
       max_nonterminals = 4;
+      max_terminals = 8;
       max_alts = 3;
       max_rhs = 4;
       ambiguous_core = false };
     { band_name = "medium";
       min_nonterminals = 5;
       max_nonterminals = 9;
+      max_terminals = 8;
       max_alts = 3;
       max_rhs = 5;
       ambiguous_core = false };
     { band_name = "large";
       min_nonterminals = 10;
       max_nonterminals = 16;
+      max_terminals = 8;
       max_alts = 4;
       max_rhs = 6;
       ambiguous_core = false };
     { band_name = "ambiguous";
       min_nonterminals = 3;
       max_nonterminals = 7;
+      max_terminals = 8;
       max_alts = 3;
       max_rhs = 4;
       ambiguous_core = true } ]
@@ -56,7 +59,7 @@ let terminal_names = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |]
 let nonterminal_name i = Printf.sprintf "N%d" i
 
 let gen_spec band rng =
-  let n_terminals = 2 + Random.State.int rng (Array.length terminal_names - 1) in
+  let n_terminals = 2 + Random.State.int rng (band.max_terminals - 1) in
   let n_nonterminals =
     band.min_nonterminals
     + Random.State.int rng (band.max_nonterminals - band.min_nonterminals + 1)

@@ -11,17 +11,19 @@
     ranges, and one band forces a classic ambiguous binary-operator core so
     conflict-heavy grammars are always represented.
 
-    The generator mirrors the differential fuzzer's
-    ({!Evaluation.Fuzz}): every nonterminal's first alternative is
-    all-terminal, so every nonterminal is productive by construction (the
-    analysis pipeline assumes productivity). Seeds that still fail to
-    elaborate (e.g. duplicate productions after generation) deterministically
-    retry with a derived sub-seed, so {!entry} is total. *)
+    Every nonterminal's first alternative is all-terminal, so every
+    nonterminal is productive by construction (the analysis pipeline
+    assumes productivity); the differential fuzzer ({!Evaluation.Fuzz})
+    generates its grammars with the same {!gen_spec}. Seeds that still fail
+    to elaborate (e.g. duplicate productions after generation)
+    deterministically retry with a derived sub-seed, so {!entry} is
+    total. *)
 
 type band = {
   band_name : string;
   min_nonterminals : int;
   max_nonterminals : int;
+  max_terminals : int;  (** at least 2, at most 8 *)
   max_alts : int;  (** alternatives per nonterminal *)
   max_rhs : int;  (** symbols per alternative *)
   ambiguous_core : bool;
@@ -37,6 +39,14 @@ val band_of : int -> band
 
 val name : int -> string
 (** ["stress-<band>-<i>"]. *)
+
+val gen_spec : band -> Random.State.t -> Cfg.Spec_ast.t
+(** A random spec of the band's shape, drawn from [rng]: from 2 to
+    [max_terminals] terminals, from [min_nonterminals] to
+    [max_nonterminals] nonterminals, the first of them the start symbol. *)
+
+val render_spec : Cfg.Spec_ast.t -> string
+(** Back to the {!Cfg.Spec_parser} textual format. *)
 
 val source : int -> string
 (** The grammar in the {!Cfg.Spec_parser} textual format (for reproducing

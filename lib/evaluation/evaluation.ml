@@ -24,12 +24,12 @@ type row = {
 (* The bounded checker's time budget per grammar, in seconds. *)
 let baseline_budget = 15.0
 
-let run_row ~options ~with_baseline (entry : Corpus.entry) =
+let run_row ~options ~with_baseline ~jobs (entry : Corpus.entry) =
   let g = Corpus.grammar entry in
   let session = Cex_session.Session.create g in
   let table = Cex_session.Session.table session in
   let lalr = Cex_session.Session.lalr session in
-  let report = Cex.Driver.analyze_session ~options session in
+  let report = Cex.Driver.analyze_session ~options ~jobs session in
   let analysis = Lalr.analysis lalr in
   let misleading_naive =
     List.length
@@ -73,12 +73,12 @@ let run_row ~options ~with_baseline (entry : Corpus.entry) =
     misleading_naive }
 
 let run_rows ~options ~with_baseline ?(jobs = 1) ?on_row entries =
-  let entries = Array.of_list entries in
-  Array.to_list
-    (Cex_session.Pool.run ~jobs (Array.length entries) (fun i ->
-         let r = run_row ~options ~with_baseline entries.(i) in
-         Option.iter (fun f -> f r) on_row;
-         r))
+  List.map
+    (fun entry ->
+      let r = run_row ~options ~with_baseline ~jobs entry in
+      Option.iter (fun f -> f r) on_row;
+      r)
+    entries
 
 (* ------------------------------------------------------------------ *)
 

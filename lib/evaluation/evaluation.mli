@@ -24,14 +24,14 @@ val run_rows :
   ?on_row:(row -> unit) ->
   Corpus.entry list ->
   row list
-(** One row per entry, across [jobs] domains (default 1) of one
-    {!Cex_session.Pool.run}. Each row analyzes its entry's conflicts one
-    after another ({!Cex.Driver.analyze_session} at jobs 1), so its timings
-    are comparable across rows. [with_baseline] also times the bounded
-    checker, with 15 s per grammar, on the BV10 rows, the only rows with
-    CFGAnalyzer times in the paper's Table 1. [on_row] is called as each row
-    completes — from worker domains when [jobs > 1], so it must be
-    thread-safe. Rows come back in input order. *)
+(** One row per entry, in input order. Each row fans its entry's conflicts
+    out across [jobs] domains (default 1) through
+    {!Cex.Driver.analyze_session}, the one conflict fan-out of [lrcex], so
+    a row with hundreds of conflicts keeps every domain busy; at [jobs > 1]
+    its times are search time consumed, not wall time. [with_baseline]
+    also times the bounded checker, with 15 s per grammar, on the BV10
+    rows, the only rows with CFGAnalyzer times in the paper's Table 1.
+    [on_row] is called on each row as it completes, in input order. *)
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

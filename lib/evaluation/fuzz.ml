@@ -36,54 +36,18 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 (* Grammar generation *)
 
-let terminal_names = [| "a"; "b"; "c"; "d"; "e"; "f" |]
-
-let nonterminal_name i = Printf.sprintf "N%d" i
-
+(* The stress generator, on a band of the config's sizes with at least two
+   nonterminals and no ambiguous core. *)
 let gen_spec config rng =
-  let n_terminals = 2 + Random.State.int rng (config.max_terminals - 1) in
-  let n_nonterminals = 2 + Random.State.int rng (config.max_nonterminals - 1) in
-  let gen_terminal () = terminal_names.(Random.State.int rng n_terminals) in
-  let gen_symbol () =
-    (* bias toward terminals so most grammars have finite languages *)
-    if Random.State.int rng 10 < 6 then gen_terminal ()
-    else nonterminal_name (Random.State.int rng n_nonterminals)
-  in
-  let gen_alt ~terminals_only =
-    let len = Random.State.int rng (config.max_rhs + 1) in
-    Spec_ast.alt
-      (List.init len (fun _ ->
-           if terminals_only then gen_terminal () else gen_symbol ()))
-  in
-  let gen_rule i =
-    let n_alts = 1 + Random.State.int rng config.max_alts in
-    (* the first alternative is all-terminal, so every nonterminal is
-       productive by construction (the pipeline assumes productivity) *)
-    Spec_ast.rule (nonterminal_name i)
-      (List.init n_alts (fun a -> gen_alt ~terminals_only:(a = 0)))
-  in
-  Spec_ast.make ~start:(nonterminal_name 0)
-    (List.init n_nonterminals gen_rule)
-
-(* Render a spec back to the textual format, for reproduction reports. *)
-let render_spec (spec : Spec_ast.t) =
-  let buf = Buffer.create 256 in
-  (match spec.Spec_ast.start with
-  | Some s -> Buffer.add_string buf (Printf.sprintf "%%start %s\n" s)
-  | None -> ());
-  List.iter
-    (fun (r : Spec_ast.rule) ->
-      Buffer.add_string buf r.Spec_ast.lhs;
-      List.iteri
-        (fun i (a : Spec_ast.alt) ->
-          Buffer.add_string buf (if i = 0 then " : " else " | ");
-          Buffer.add_string buf
-            (if a.Spec_ast.symbols = [] then "/* empty */"
-             else String.concat " " a.Spec_ast.symbols))
-        r.Spec_ast.alts;
-      Buffer.add_string buf " ;\n")
-    spec.Spec_ast.rules;
-  Buffer.contents buf
+  Corpus.Stress.gen_spec
+    { Corpus.Stress.band_name = "fuzz";
+      min_nonterminals = 2;
+      max_nonterminals = config.max_nonterminals;
+      max_terminals = config.max_terminals;
+      max_alts = config.max_alts;
+      max_rhs = config.max_rhs;
+      ambiguous_core = false }
+    rng
 
 (* ------------------------------------------------------------------ *)
 (* One grammar through the pipeline, cross-checked. *)
@@ -330,7 +294,7 @@ let run_seed ?(config = default_config) seed =
         if shrunk_verdict.problems = [] then verdict.problems
         else shrunk_verdict.problems
       in
-      Some { seed; source = render_spec shrunk; problems }
+      Some { seed; source = Corpus.Stress.render_spec shrunk; problems }
     end
   in
   { seed; verdict; failure }

@@ -39,11 +39,9 @@ type config = {
 val default_config : config
 
 val gen_spec : config -> Random.State.t -> Cfg.Spec_ast.t
-(** Every nonterminal's first alternative is all-terminal, so generated
-    grammars are productive by construction. *)
-
-val render_spec : Cfg.Spec_ast.t -> string
-(** Back to the {!Cfg.Spec_parser} textual format, for reproduction. *)
+(** {!Corpus.Stress.gen_spec} with 2 to [max_nonterminals] nonterminals
+    and no ambiguous core: every nonterminal's first alternative is
+    all-terminal, so generated grammars are productive by construction. *)
 
 type verdict = {
   conflicts : int;

@@ -114,25 +114,14 @@ let reuse_counterexample ~oracle ~remap session (new_conflict : Conflict.t)
 
 (* ------------------------------------------------------------------ *)
 
-(* Conflict tasks actually dispatched to the search fan-out: report-cache
-   hits and delta-reused conflicts cost none, so the server's
-   [conflict_tasks] stat is the work the caches and the delta path saved
-   it from. *)
-let note_tasks stats n =
-  match stats with Some st -> Stats.add_conflict_tasks st n | None -> ()
-
-let analyze_hot ~options ~jobs ?stats t session digest served =
-  note_tasks stats (List.length (Session.conflicts session));
-  let report = Cex.Driver.analyze_session ~options ~jobs session in
-  Scheduler.store_report t.scheduler ~options digest report;
-  (report, digest, served)
-
-(* Pick the most production-similar cached session as a reuse base.
-   Candidates below half similarity are not worth it: few of their
+(* Pick the most production-similar cached session as a reuse base for [g]:
+   its digest, session and similarity, and the map of its productions onto
+   [g]'s. Candidates below half similarity are not worth it: few of their
    conflicts' item pairs survive the edit, so few counterexamples could
    carry over. A base with other symbol tables scores 0.0, so the chosen
    base always shares the edit's symbols. *)
-let best_base t next_fp =
+let best_base t digest g =
+  let next_fp = fingerprint_of t digest g in
   Scheduler.fold_sessions
     (fun digest session best ->
       let fp = fingerprint_of t digest (Session.grammar session) in
@@ -142,17 +131,18 @@ let best_base t next_fp =
       | _ when s >= 0.5 -> Some (digest, session, fp, s)
       | _ -> best)
     t.scheduler None
+  |> Option.map (fun (digest, session, fp, s) ->
+         (digest, session, s, Delta.remap_production ~base:fp ~next:next_fp))
 
-(* The session is built exactly as a cold one; only conflict searches are
-   saved, for conflicts whose item pairs survive the edit. *)
-let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
-    ~similarity ~remap =
-  let clock = Scheduler.clock t.scheduler in
-  let t0 = Clock.now clock in
-  let session = Session.create ~clock g in
+(* The new session's reports carried over from the base, one slot per
+   conflict, with the reuse record that counts them. The session is built
+   exactly as a cold one; only conflict searches are saved, for conflicts
+   whose item pairs survive the edit. *)
+let reuse_from_base ~options t session
+    (base_digest, base_session, similarity, remap) =
+  let g = Session.grammar session in
   let total_nonterminals = Cfg.Grammar.n_nonterminals g in
   let trace = Session.trace session in
-  Trace.span trace "delta" (Clock.now clock -. t0);
   Trace.count trace "delta" "total_nonterminals" total_nonterminals;
   (* Index the base report's conflicts by signature; first match wins and is
      consumed, so duplicated signatures cannot fan one counterexample out to
@@ -168,8 +158,7 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
       base_report.Cex.Driver.conflict_reports
   | None -> ());
   let oracle = lazy (Oracle.of_session session) in
-  let conflicts = Array.of_list (Session.conflicts session) in
-  let reused =
+  let held =
     Array.map
       (fun conflict ->
         let s = conflict_signature g conflict in
@@ -183,40 +172,31 @@ let analyze_delta ~options ~jobs ?stats t g digest ~base_digest ~base_session
             Some cr
           | None -> None)
         | None -> None)
-      conflicts
+      (Array.of_list (Session.conflicts session))
   in
   let n_reused =
-    Array.fold_left
-      (fun n r -> if Option.is_some r then n + 1 else n)
-      0 reused
+    Array.fold_left (fun n r -> if Option.is_some r then n + 1 else n) 0 held
   in
-  let n_searched = Array.length conflicts - n_reused in
-  note_tasks stats n_searched;
+  let n_searched = Array.length held - n_reused in
   Trace.count trace "delta" "reused_conflicts" n_reused;
   Trace.count trace "delta" "searched_conflicts" n_searched;
-  let spent = Clock.now clock -. t0 in
-  let report =
-    (Cex.Driver.analyze_sessions ~options ~jobs
-       [| { Cex.Driver.session; spent; held = reused } |]).(0)
-  in
-  Scheduler.store_session t.scheduler digest session;
-  Scheduler.store_report t.scheduler ~options digest report;
-  ( report,
-    digest,
-    Delta
+  ( Delta
       { base_digest;
         similarity;
         seeded_nonterminals = 0;
         total_nonterminals;
         reused_conflicts = n_reused;
-        searched_conflicts = n_searched } )
+        searched_conflicts = n_searched },
+    held )
 
-let analyze_cold ~options ~jobs ?stats t g digest =
-  let clock = Scheduler.clock t.scheduler in
-  let session = Session.create ~clock g in
-  Scheduler.store_session t.scheduler digest session;
-  analyze_hot ~options ~jobs ?stats t session digest Cold
-
+(* After a report-cache miss, every answer takes one path: the session from
+   the cache or built (the delta pass picks its base before the new session
+   is stored, and its ["delta"] span times the build alone), the reports
+   carried over from the base held, and one fan-out over the rest. The
+   report's [total_elapsed] counts the seconds since the miss. [stats]
+   counts the conflict tasks actually dispatched: report-cache hits and
+   reused conflicts cost none, so the server's [conflict_tasks] stat is the
+   work the caches and the delta path saved it from. *)
 let analyze t ?options ?jobs ?(incremental = true) ?stats g =
   let options =
     Option.value ~default:(Scheduler.options t.scheduler) options
@@ -225,19 +205,35 @@ let analyze t ?options ?jobs ?(incremental = true) ?stats g =
   let digest = Cache.digest g in
   match Scheduler.find_report t.scheduler ~options digest with
   | Some report -> (report, digest, Report_cache)
-  | None -> (
-    match Scheduler.find_session t.scheduler digest with
-    | Some session ->
-      Trace.count (Session.trace session) "session" "cache_hits" 1;
-      analyze_hot ~options ~jobs ?stats t session digest Session_cache
-    | None ->
-      if not incremental then analyze_cold ~options ~jobs ?stats t g digest
-      else begin
-        let next_fp = fingerprint_of t digest g in
-        match best_base t next_fp with
-        | None -> analyze_cold ~options ~jobs ?stats t g digest
-        | Some (base_digest, base_session, base_fp, similarity) ->
-          analyze_delta ~options ~jobs ?stats t g digest ~base_digest
-            ~base_session ~similarity
-            ~remap:(Delta.remap_production ~base:base_fp ~next:next_fp)
-      end)
+  | None ->
+    let clock = Scheduler.clock t.scheduler in
+    let t0 = Clock.now clock in
+    let session, (served, held) =
+      match Scheduler.find_session t.scheduler digest with
+      | Some session ->
+        Trace.count (Session.trace session) "session" "cache_hits" 1;
+        (session, (Session_cache, [||]))
+      | None ->
+        let base = if incremental then best_base t digest g else None in
+        let t1 = Clock.now clock in
+        let session = Session.create ~clock g in
+        if Option.is_some base then
+          Trace.span (Session.trace session) "delta" (Clock.now clock -. t1);
+        Scheduler.store_session t.scheduler digest session;
+        ( session,
+          Option.fold ~none:(Cold, [||])
+            ~some:(reuse_from_base ~options t session)
+            base )
+    in
+    let tasks =
+      match served with
+      | Delta r -> r.searched_conflicts
+      | _ -> List.length (Session.conflicts session)
+    in
+    Option.iter (fun st -> Stats.add_conflict_tasks st tasks) stats;
+    let report =
+      (Cex.Driver.analyze_sessions ~options ~jobs
+         [| { Cex.Driver.session; spent = Clock.now clock -. t0; held } |]).(0)
+    in
+    Scheduler.store_report t.scheduler ~options digest report;
+    (report, digest, served)

@@ -69,11 +69,14 @@ val analyze :
   Cex.Driver.report * string * served
 (** Analyze one grammar, returning the report, its digest and how it was
     served. [incremental:false] (default [true]) disables the delta path —
-    the exact-digest caches still apply. The session's trace collector
-    receives a ["delta"] stage (a session-build span plus
-    [total_nonterminals] / [reused_conflicts] / [searched_conflicts]
-    counters) on the delta path, so the reuse ratio is visible in the
-    report's [metrics]. [stats], when given, records the conflict search
+    the exact-digest caches still apply. Every answer but a report-cache
+    hit makes one {!Cex.Driver.analyze_sessions} call, whose report's
+    [total_elapsed] starts with the seconds since the report-cache miss:
+    the session lookup or build, and on the delta path the reuse pass.
+    The session's trace collector receives a ["delta"] stage (a
+    session-build span plus [total_nonterminals] / [reused_conflicts] /
+    [searched_conflicts] counters) on the delta path, so the reuse ratio is
+    visible in the report's [metrics]. [stats], when given, records the conflict search
     tasks actually dispatched — cache hits and delta-reused conflicts cost
     no task, so the server's [conflict_tasks] counter measures work saved
     by reuse against the [conflicts] it answered for. *)

@@ -41,20 +41,29 @@ let string_field json field =
   | Some (Json.String s) -> Some s
   | _ -> None
 
+(* An optional field: absent, or a value that [read] accepts. Any other
+   value, null included, is an error that says what the field must be. *)
+let optional_field json field ~default ~must_be read =
+  match Json.member field json with
+  | None -> Ok default
+  | Some v -> (
+    match read v with
+    | Some x -> Ok x
+    | None -> Error (Fmt.str "%S must be %s" field must_be))
+
 (* A time limit, as the CLI's [--timeout] and [--cumulative-timeout] take
    it: absent, or a number of seconds, at least 0. *)
 let seconds_field json field =
-  match Json.member field json with
-  | None -> Ok None
-  | Some (Json.Float f) when f >= 0.0 -> Ok (Some f)
-  | Some (Json.Int n) when n >= 0 -> Ok (Some (float_of_int n))
-  | Some _ ->
-    Error (Fmt.str "%S must be a number of seconds, at least 0" field)
+  optional_field json field ~default:None
+    ~must_be:"a number of seconds, at least 0" (function
+    | Json.Float f when f >= 0.0 -> Some (Some f)
+    | Json.Int n when n >= 0 -> Some (Some (float_of_int n))
+    | _ -> None)
 
-let bool_field ~default json field =
-  match Json.member field json with
-  | Some (Json.Bool b) -> b
-  | _ -> default
+let bool_field json field ~default =
+  optional_field json field ~default ~must_be:"a boolean" (function
+    | Json.Bool b -> Some b
+    | _ -> None)
 
 let parse_request line =
   match Json.of_string_opt line with
@@ -62,6 +71,9 @@ let parse_request line =
   | Some (Json.Obj _ as json) -> (
     let id = string_field json "id" in
     let bad message = Error (id, Bad_request, message) in
+    let ( let* ) field k =
+      match field with Ok x -> k x | Error message -> bad message
+    in
     match string_field json "op" with
     | None -> bad "missing or non-string \"op\" field"
     | Some op -> (
@@ -70,26 +82,30 @@ let parse_request line =
       | Some id -> (
         match op with
         | "analyze" -> (
-          match
-            ( string_field json "spec",
-              seconds_field json "timeout",
-              seconds_field json "cumulative_timeout" )
-          with
-          | None, _, _ -> bad "analyze requires a string \"spec\" field"
-          | _, Error message, _ | _, _, Error message -> bad message
-          | Some spec, Ok per_conflict_timeout, Ok cumulative_timeout ->
+          match string_field json "spec" with
+          | None -> bad "analyze requires a string \"spec\" field"
+          | Some spec ->
+            let* per_conflict_timeout = seconds_field json "timeout" in
+            let* cumulative_timeout =
+              seconds_field json "cumulative_timeout"
+            in
+            let* name =
+              optional_field json "name" ~default:"grammar"
+                ~must_be:"a string" (function
+                | Json.String s -> Some s
+                | _ -> None)
+            in
+            let* incremental = bool_field json "incremental" ~default:true in
+            let* cross_check = bool_field json "cross_check" ~default:false in
             Ok
               (Analyze
                  { id;
-                   name =
-                     Option.value ~default:"grammar"
-                       (string_field json "name");
+                   name;
                    spec;
                    per_conflict_timeout;
                    cumulative_timeout;
-                   incremental = bool_field ~default:true json "incremental";
-                   cross_check = bool_field ~default:false json "cross_check"
-                 }))
+                   incremental;
+                   cross_check }))
         | "stats" -> Ok (Stats id)
         | "ping" -> Ok (Ping id)
         | "shutdown" -> Ok (Shutdown id)

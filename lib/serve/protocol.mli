@@ -20,16 +20,18 @@ type analyze = {
   id : string;
   name : string;  (** label echoed into the report; default ["grammar"] *)
   spec : string;  (** grammar text in the {!Cfg.Spec_parser} dialect *)
-  per_conflict_timeout : float option;
-      (** ["timeout"], in seconds; a request whose ["timeout"] or
-          ["cumulative_timeout"] is present but not a number at least 0 is
-          answered [bad-request], as the CLI rejects such a flag *)
+  per_conflict_timeout : float option;  (** ["timeout"], in seconds *)
   cumulative_timeout : float option;  (** ["cumulative_timeout"] *)
   incremental : bool;  (** allow delta reuse from a cached session; default true *)
   cross_check : bool;
       (** also run the from-scratch analysis and embed an equality verdict;
           default false *)
 }
+(** Every field but ["spec"] is optional. One that is present with the
+    wrong type ([name] not a string, [incremental] or [cross_check] not a
+    boolean, a time limit not a number at least 0) makes the request a
+    [bad-request], as the CLI rejects such a flag, never a request with
+    the default in its place. *)
 
 type request =
   | Analyze of analyze

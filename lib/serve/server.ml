@@ -17,7 +17,7 @@ type t = {
 let create ?options ?jobs ?(cache_capacity = 128) ?(queue_limit = 64)
     ?(clock = Clock.system) () =
   let scheduler =
-    Scheduler.create ?options ?jobs ~cache_capacity ~cache_shards:4 ~clock ()
+    Scheduler.create ?options ?jobs ~cache_capacity ~clock ()
   in
   { incr = Incremental.create scheduler;
     stats = Stats.create ~clock ~jobs:(Scheduler.jobs scheduler) ();
@@ -34,7 +34,6 @@ let stats_json t =
   Json_report.stats_to_json
     (Stats.finish t.stats
        ~session_cache:(Scheduler.session_cache_counters sched)
-       ~session_shards:(Scheduler.session_shard_counters sched)
        ~report_cache:(Scheduler.report_cache_counters sched))
 
 (* ------------------------------------------------------------------ *)

@@ -24,9 +24,8 @@ val create :
   ?clock:Cex_session.Clock.t ->
   unit ->
   t
-(** Defaults: the scheduler's option/job defaults, cache capacity 128
-    (the session cache split into 4 shards), [queue_limit] 64 pending
-    requests, monotonic system clock. *)
+(** Defaults: the scheduler's option/job defaults, cache capacity 128,
+    [queue_limit] 64 pending requests, monotonic system clock. *)
 
 val scheduler : t -> Cex_service.Scheduler.t
 val draining : t -> bool
@@ -42,8 +41,8 @@ val handle_line : t -> string -> Cex_service.Json.t
 
 val stats_json : t -> Cex_service.Json.t
 (** The [stats] operation's payload: scheduler throughput, stage timings
-    (including cumulative ["queue_wait"]), and per-shard session-cache
-    counters. *)
+    (including cumulative ["queue_wait"]), and the session- and
+    report-cache counters. *)
 
 val max_line_bytes : int
 (** The longest request line accepted, in bytes (1 MiB). A longer line is

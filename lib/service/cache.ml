@@ -95,35 +95,3 @@ let fold f t init =
 
 let pp_counters ppf (c : counters) =
   Fmt.pf ppf "%d hits, %d misses, %d evictions" c.hits c.misses c.evictions
-
-let zero_counters = { hits = 0; misses = 0; evictions = 0 }
-
-let sum_counters cs =
-  List.fold_left
-    (fun (acc : counters) (c : counters) : counters ->
-      { hits = acc.hits + c.hits;
-        misses = acc.misses + c.misses;
-        evictions = acc.evictions + c.evictions })
-    zero_counters cs
-
-module Sharded = struct
-  type 'a shard = 'a t
-  type 'a t = 'a shard array
-
-  let create ?(shards = 1) ?(capacity = 128) () =
-    let shards = max 1 shards in
-    let per_shard = max 1 ((capacity + shards - 1) / shards) in
-    Array.init shards (fun _ -> create ~capacity:per_shard ())
-
-  let shard_for t key = t.(Hashtbl.hash key mod Array.length t)
-  let shards t = Array.length t
-  let find t key = find (shard_for t key) key
-  let set t key value = set (shard_for t key) key value
-  let length t = Array.fold_left (fun n s -> n + length s) 0 t
-  let counters t = Array.to_list (Array.map counters t)
-
-  let fold f t init =
-    Array.fold_left (fun acc shard -> fold f shard acc) init t
-
-  let clear t = Array.iter clear t
-end

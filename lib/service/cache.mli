@@ -47,28 +47,3 @@ val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
     lock — do not call back into the same cache from [f]. *)
 
 val pp_counters : Format.formatter -> counters -> unit
-
-val zero_counters : counters
-val sum_counters : counters list -> counters
-
-(** A fixed array of independent caches addressed by key hash, each with
-    its own lock, counters and LRU order, so eviction pressure is
-    localized. [capacity] is the total across shards (split evenly, each
-    shard at least 1). *)
-module Sharded : sig
-  type 'a t
-
-  val create : ?shards:int -> ?capacity:int -> unit -> 'a t
-  (** Defaults: 1 shard, total capacity 128. [shards] clamped to ≥ 1. *)
-
-  val shards : 'a t -> int
-  val find : 'a t -> string -> 'a option
-  val set : 'a t -> string -> 'a -> unit
-  val length : 'a t -> int
-
-  val counters : 'a t -> counters list
-  (** Per shard, in shard-index order. *)
-
-  val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-  val clear : 'a t -> unit
-end

@@ -1,7 +1,7 @@
 open Cfg
 open Automaton
 
-let schema_version = 9
+let schema_version = 10
 
 let outcome_string = function
   | Cex.Driver.Found_unifying -> "found_unifying"
@@ -183,44 +183,16 @@ let stats_to_json (s : Stats.summary) =
           Json.Obj
             [ ( "sessions",
                 Option.fold ~none:Json.Null ~some:counters_to_json sessions );
-              ( "session_shards",
-                Json.List (List.map counters_to_json s.Stats.session_shards)
-              );
               ( "reports",
                 Option.fold ~none:Json.Null ~some:counters_to_json reports )
             ] ) ]
 
-let batch_to_json ?stats ?lint results =
-  let lint =
-    match lint with
-    | None -> List.map (fun _ -> None) results
-    | Some l ->
-      if List.length l <> List.length results then
-        invalid_arg
-          (Fmt.str
-             "Json_report.batch_to_json: %d lint entries for %d results"
-             (List.length l) (List.length results));
-      l
-  in
-  Json.Obj
-    [ ("schema_version", Json.Int schema_version);
-      ( "stats",
-        Option.fold ~none:Json.Null ~some:stats_to_json stats );
-      ( "grammars",
-        Json.List
-          (List.map2
-             (fun (r : Scheduler.batch_result) diagnostics ->
-               report_to_json ~name:r.Scheduler.name ~digest:r.Scheduler.digest
-                 ~from_cache:r.Scheduler.from_cache ?diagnostics
-                 r.Scheduler.report)
-             results lint) ) ]
-
 (* ------------------------------------------------------------------ *)
-(* Streaming NDJSON records (`lrcex batch --stream`): one self-describing
+(* The batch record stream (`lrcex batch --json`): one self-describing
    object per line, distinguished by the leading "record" key — a "grammar"
-   record per completed grammar (the batch_to_json per-grammar object, plus
-   the tag), then exactly one final "summary" record carrying the mergeable
-   outcome totals and the run's stats. *)
+   record per completed grammar (its report object, plus the tag), then
+   exactly one final "summary" record carrying the mergeable outcome totals
+   and the run's stats. *)
 
 let stream_grammar_to_json ?diagnostics (r : Scheduler.batch_result) =
   match

@@ -1,41 +1,50 @@
 (** JSON serialization of analysis results for machine consumption
     ([lrcex --json], [lrcex batch --json], [lrcex lint --json]).
 
-    Schema sketch (stable keys, see the golden tests):
+    Schema sketch (stable keys, see the golden tests). [lrcex --json]
+    prints one report object ({!report_to_json}); [lrcex batch --json]
+    prints the record stream, one minified object per line: a grammar
+    record per grammar, the report object with a leading ["record"] key,
+    then one summary record.
 
     {v
-    { "schema_version": 9,
-      "stats": { "jobs", "grammars", "conflicts", "wall_seconds",
-                 "max_queue_depth", "stages": {...},
+    { "record": "grammar",                   // batch only
+      "grammar", "digest", "from_cache",
+      "summary": { "conflicts", "unifying", "nonunifying", "timeouts",
+                   "skipped", "crashed", "total_elapsed" },
+      "metrics": { "<stage>": { "seconds", "spans",
+                                "counters": { "<name>": n, ... } } },
+      "diagnostics": [ ... ],                // only with --lint
+      "conflicts": [
+        { "state", "terminal", "kind", "classification",
+          "reduce_item", "other_item",
+          "outcome", "elapsed", "configs_explored",
+          "failure": null | "<exception and backtrace>",
+          "validation": null                  // oracle not run
+            | { "status": "valid" }
+            | { "status": "invalid", "failures": [ "<check>", ... ] },
+          "counterexample": null
+            | { "type": "unifying", "nonterminal", "form",
+                "derivation_reduce", "derivation_other" }
+            | { "type": "nonunifying", "prefix",
+                "reduce_continuation", "other_continuation" } } ] }
+
+    { "record": "summary", "schema_version": 10,
+      "totals": { "grammars", "conflicts", "unifying", "nonunifying",
+                  "timeouts", "skipped", "crashed", "invalid",
+                  "from_cache" },
+      "stats": { "jobs", "grammars", "conflicts", "conflict_tasks",
+                 "wall_seconds", "max_queue_depth", "max_live_sessions",
+                 "stages": {...},
                  "cache": { "sessions": {"hits","misses","evictions"},
-                            "reports": {...} } },
-      "grammars": [
-        { "grammar", "digest", "from_cache",
-          "summary": { "conflicts", "unifying", "nonunifying", "timeouts",
-                       "skipped", "crashed", "total_elapsed" },
-          "metrics": { "<stage>": { "seconds", "spans",
-                                    "counters": { "<name>": n, ... } } },
-          "diagnostics": [ ... ],            // only with --lint
-          "conflicts": [
-            { "state", "terminal", "kind", "classification",
-              "reduce_item", "other_item",
-              "outcome", "elapsed", "configs_explored",
-              "failure": null | "<exception and backtrace>",
-              "validation": null              // oracle not run
-                | { "status": "valid" }
-                | { "status": "invalid", "failures": [ "<check>", ... ] },
-              "counterexample": null
-                | { "type": "unifying", "nonterminal", "form",
-                    "derivation_reduce", "derivation_other" }
-                | { "type": "nonunifying", "prefix",
-                    "reduce_continuation", "other_continuation" } } ] } ] }
+                            "reports": {...} } } }
     v}
 
     The lint document ({!lint_to_json}) shares ["schema_version"] and the
     diagnostic object shape:
 
     {v
-    { "schema_version": 9,
+    { "schema_version": 10,
       "summary": { "grammars", "diagnostics", "errors", "warnings", "infos",
                    "conflicts", "unclassified_conflicts",
                    "codes": { "<rule-code>": count, ... } },
@@ -49,7 +58,9 @@
     v} *)
 
 val schema_version : int
-(** Version 9: cache counter objects have no ["races"] key.
+(** Version 10: a batch is reported only as the record stream, and cache
+    stats have no ["session_shards"] array.
+    Version 9: cache counter objects have no ["races"] key.
     Version 8: the stream summary record has no ["shard"] key.
     Version 7: conflict objects no longer carry ["engine"]; the product
     search is the only engine, and its stages keep the names
@@ -89,14 +100,7 @@ val report_to_json :
 
 val stats_to_json : Stats.summary -> Json.t
 
-val batch_to_json :
-  ?stats:Stats.summary -> ?lint:Cex_lint.Diagnostic.t list option list ->
-  Scheduler.batch_result list -> Json.t
-(** The full service response: [stats] plus one report object per grammar.
-    [lint], when given, must align with the result list; [Some diags]
-    entries embed a ["diagnostics"] array in that grammar's object. *)
-
-(** {1 Streaming NDJSON records} ([lrcex batch --stream])
+(** {1 The batch record stream} ([lrcex batch --json])
 
     One self-describing object per output line, distinguished by the
     leading ["record"] key: a ["grammar"] record per completed grammar the
@@ -104,16 +108,16 @@ val batch_to_json :
 
 val stream_grammar_to_json :
   ?diagnostics:Cex_lint.Diagnostic.t list -> Scheduler.batch_result -> Json.t
-(** The {!batch_to_json} per-grammar object plus [("record", "grammar")]. *)
+(** The result's {!report_to_json} object, with its name, digest and
+    [from_cache] flag, led by [("record", "grammar")]. *)
 
 val totals_to_json : Scheduler.totals -> Json.t
 
 val stream_summary_to_json : totals:Scheduler.totals -> Stats.summary -> Json.t
 (** The final record: [{ "record": "summary", "schema_version",
     "totals": {...}, "stats": {...} }]. The ["totals"] object is the run's
-    deterministic outcome totals ({!Scheduler.totals}); ["stats"] matches
-    the non-streamed document's ["stats"] key byte-for-byte (after float
-    zeroing). *)
+    deterministic outcome totals ({!Scheduler.totals}); ["stats"] is
+    {!stats_to_json}, the object the server's [stats] operation answers. *)
 
 val lint_to_json :
   (string * Automaton.Parse_table.t * Cex_lint.Lint.report) list -> Json.t

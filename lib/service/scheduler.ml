@@ -12,7 +12,7 @@ type t = {
   options_key : string;  (* [options_key options] *)
   jobs : int;
   clock : Clock.t;
-  sessions : Session.t Cache.Sharded.t;
+  sessions : Session.t Cache.t;
   reports : Cex.Driver.report Cache.t;
 }
 
@@ -24,23 +24,22 @@ let options_key (options : Cex.Driver.options) =
   Digest.to_hex (Digest.string (Marshal.to_string options [ No_sharing ]))
 
 let create ?(options = Cex.Driver.default_options) ?(jobs = default_jobs ())
-    ?(cache_capacity = 128) ?(cache_shards = 1) ?(clock = Clock.system) () =
+    ?(cache_capacity = 128) ?cache_shards:_ ?(clock = Clock.system) () =
   { options;
     options_key = options_key options;
     jobs = Cex_session.Pool.clamp_jobs jobs;
     clock;
-    sessions = Cache.Sharded.create ~shards:cache_shards ~capacity:cache_capacity ();
+    sessions = Cache.create ~capacity:cache_capacity ();
     reports = Cache.create ~capacity:cache_capacity () }
 
 let jobs t = t.jobs
 let options t = t.options
 let clock t = t.clock
-let session_shard_counters t = Cache.Sharded.counters t.sessions
-let session_cache_counters t = Cache.sum_counters (session_shard_counters t)
+let session_cache_counters t = Cache.counters t.sessions
 let report_cache_counters t = Cache.counters t.reports
-let find_session t digest = Cache.Sharded.find t.sessions digest
-let store_session t digest session = Cache.Sharded.set t.sessions digest session
-let fold_sessions f t init = Cache.Sharded.fold f t.sessions init
+let find_session t digest = Cache.find t.sessions digest
+let store_session t digest session = Cache.set t.sessions digest session
+let fold_sessions f t init = Cache.fold f t.sessions init
 
 let report_key t options digest =
   digest ^ Option.fold ~none:t.options_key ~some:options_key options
@@ -63,7 +62,7 @@ type batch_result = {
 
    Grammars stream through a bounded in-flight window: each window of [w]
    entries is prepared sequentially (digest, report-cache lookup, session
-   build through the sharded cache), its conflicts fan out in one pool run,
+   build through the session cache), its conflicts fan out in one pool run,
    and its reports are assembled, emitted, and released before the next
    window starts. Nothing outside the window and the two LRU caches pins a
    session or a report, so peak memory is a function of the window size and
@@ -99,13 +98,13 @@ let process_window t ~stats ~emit entries =
             | None ->
               let t0 = Clock.now t.clock in
               let session =
-                match Cache.Sharded.find t.sessions digest with
+                match find_session t digest with
                 | Some s ->
                   Trace.count (Session.trace s) "session" "cache_hits" 1;
                   s
                 | None ->
                   let s = Session.create ~clock:t.clock g in
-                  Cache.Sharded.set t.sessions digest s;
+                  store_session t digest s;
                   s
               in
               let spent = Clock.now t.clock -. t0 in
@@ -176,8 +175,7 @@ let analyze_batch_emit ?(window = default_window) t ~emit entries =
   loop entries;
   Stats.finish stats
     ~session_cache:(session_cache_counters t)
-    ~session_shards:(session_shard_counters t)
-    ~report_cache:(Cache.counters t.reports)
+    ~report_cache:(report_cache_counters t)
 
 let analyze_batch ?window t entries =
   let acc = ref [] in

@@ -38,13 +38,14 @@ val create :
   t
 (** [clock] (default the monotonic system clock) drives every deadline and
     stage timing of the service; inject a fake for deterministic timeout
-    tests. [cache_shards] (default 1) splits the session cache into LRU
-    shards addressed by digest hash, each with its own lock, counters and
-    an even share of [cache_capacity], which is the total across shards;
-    the server uses 4. Only the domain that calls the service touches its
-    caches, never a pool worker, so the shard count relieves no lock
-    contention: it decides which sessions evict which, and how many
-    counter blocks the stats report. *)
+    tests. The session and report caches each hold [cache_capacity]
+    entries (default 128).
+
+    [cache_shards] is ignored. It used to split the session cache into LRU
+    shards, but only the domain that calls the service touches its caches,
+    never a pool worker, so shards relieved no lock contention. Only
+    [perfbench/edit_session.ml] still passes it; the next change to the
+    benchmark deletes that argument and this parameter together. *)
 
 val jobs : t -> int
 (** The worker domains the service runs: the requested count clamped by
@@ -54,11 +55,6 @@ val options : t -> Cex.Driver.options
 val clock : t -> Cex_session.Clock.t
 
 val session_cache_counters : t -> Cache.counters
-(** Aggregate over all shards. *)
-
-val session_shard_counters : t -> Cache.counters list
-(** Per shard, in shard-index order. *)
-
 val report_cache_counters : t -> Cache.counters
 
 val find_session : t -> string -> Cex_session.Session.t option
@@ -105,7 +101,7 @@ val analyze_batch_emit :
 (** The streaming batch pipeline. Grammars are pulled lazily from the
     sequence in windows of [window] (default {!default_window}, clamped to
     ≥ 1): each window is prepared sequentially (digest, report-cache
-    lookup, session build through the sharded cache), its conflicts fan
+    lookup, session build through the session cache), its conflicts fan
     out in one pool run, and its reports are assembled and handed to
     [emit] in input order — then released, so nothing outside the current
     window and the LRU caches pins a session or a report. Peak memory is a

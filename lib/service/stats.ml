@@ -8,7 +8,6 @@ type summary = {
   max_live_sessions : int;
   stages : (string * float) list;
   session_cache : Cache.counters option;
-  session_shards : Cache.counters list;
   report_cache : Cache.counters option;
 }
 
@@ -61,7 +60,7 @@ let note_live_sessions t n =
   with_lock t (fun () ->
       if n > t.max_live_sessions then t.max_live_sessions <- n)
 
-let finish ?session_cache ?(session_shards = []) ?report_cache t =
+let finish ?session_cache ?report_cache t =
   with_lock t (fun () ->
       { jobs = t.jobs;
         grammars = t.grammars;
@@ -74,7 +73,6 @@ let finish ?session_cache ?(session_shards = []) ?report_cache t =
           Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.stages []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b);
         session_cache;
-        session_shards;
         report_cache })
 
 let pp_summary ppf (s : summary) =
@@ -89,9 +87,6 @@ let pp_summary ppf (s : summary) =
   (match s.session_cache with
   | Some c -> Fmt.pf ppf "@,session cache: %a" Cache.pp_counters c
   | None -> ());
-  List.iteri
-    (fun i c -> Fmt.pf ppf "@,  shard %d: %a" i Cache.pp_counters c)
-    s.session_shards;
   (match s.report_cache with
   | Some c -> Fmt.pf ppf "@,report cache:  %a" Cache.pp_counters c
   | None -> ());

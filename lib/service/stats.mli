@@ -30,10 +30,6 @@ type summary = {
       (** cumulative seconds per pipeline stage, sorted by stage name
           (e.g. ["table_build"], ["conflict_search"]) *)
   session_cache : Cache.counters option;
-      (** aggregate across shards, for backward-compatible consumers *)
-  session_shards : Cache.counters list;
-      (** per-shard breakdown, in shard-index order; empty when the run
-          did not go through a sharded session cache *)
   report_cache : Cache.counters option;
 }
 
@@ -56,7 +52,6 @@ val note_live_sessions : t -> int -> unit
 
 val finish :
   ?session_cache:Cache.counters ->
-  ?session_shards:Cache.counters list ->
   ?report_cache:Cache.counters ->
   t ->
   summary

@@ -119,13 +119,21 @@ let test_report_cache_keys_options () =
 (* Scheduler determinism: conflict-level parallelism must not change any
    outcome or counterexample, nor the report order. *)
 
+(* A batch's grammar records, floats zeroed, one per line. *)
+let normalized_results results =
+  String.concat "\n"
+    (List.map
+       (fun r ->
+         Cex_service.Json.to_string ~minify:true
+           (Cex_service.Json.map_floats
+              (fun _ -> 0.0)
+              (Cex_service.Json_report.stream_grammar_to_json r)))
+       results)
+
 let normalized_batch ~jobs entries =
   let service = Cex_service.Scheduler.create ~jobs () in
   let results, _stats = Cex_service.Scheduler.analyze_batch service entries in
-  Cex_service.Json.to_string
-    (Cex_service.Json.map_floats
-       (fun _ -> 0.0)
-       (Cex_service.Json_report.batch_to_json results))
+  normalized_results results
 
 let test_determinism () =
   let entries =
@@ -304,7 +312,99 @@ let test_json_parser () =
 
 let golden =
   {|{
-  "schema_version": 9,
+  "record": "grammar",
+  "grammar": "dangling-else",
+  "digest": "2a1de4b63d8cced128cb9455f89ded12",
+  "from_cache": false,
+  "summary": {
+    "conflicts": 1,
+    "unifying": 1,
+    "nonunifying": 0,
+    "timeouts": 0,
+    "skipped": 0,
+    "crashed": 0,
+    "total_elapsed": 0.0
+  },
+  "metrics": {
+    "classify": {
+      "seconds": 0.0,
+      "spans": 1,
+      "counters": {}
+    },
+    "path_search": {
+      "seconds": 0.0,
+      "spans": 1,
+      "counters": {
+        "alloc_words": 0.0,
+        "pops": 33,
+        "relaxations": 33
+      }
+    },
+    "product.search": {
+      "seconds": 0.0,
+      "spans": 1,
+      "counters": {
+        "alloc_words": 0.0,
+        "configs_explored": 135,
+        "queue_pushes": 255
+      }
+    },
+    "table_build": {
+      "seconds": 0.0,
+      "spans": 1,
+      "counters": {
+        "conflicts": 1,
+        "states": 10
+      }
+    }
+  },
+  "conflicts": [
+    {
+      "state": 7,
+      "terminal": "ELSE",
+      "kind": "shift_reduce",
+      "classification": "dangling-else",
+      "reduce_item": "stmt ::= IF expr THEN stmt •",
+      "other_item": "stmt ::= IF expr THEN stmt • ELSE stmt",
+      "outcome": "found_unifying",
+      "elapsed": 0.0,
+      "configs_explored": 135,
+      "failure": null,
+      "validation": null,
+      "counterexample": {
+        "type": "unifying",
+        "nonterminal": "stmt",
+        "form": [
+          "IF",
+          "expr",
+          "THEN",
+          "IF",
+          "expr",
+          "THEN",
+          "stmt",
+          "ELSE",
+          "stmt"
+        ],
+        "derivation_reduce": "stmt ::= [IF expr THEN stmt ::= [IF expr THEN stmt •] ELSE stmt]",
+        "derivation_other": "stmt ::= [IF expr THEN stmt ::= [IF expr THEN stmt • ELSE stmt]]"
+      }
+    }
+  ]
+}
+{
+  "record": "summary",
+  "schema_version": 10,
+  "totals": {
+    "grammars": 1,
+    "conflicts": 1,
+    "unifying": 1,
+    "nonunifying": 0,
+    "timeouts": 0,
+    "skipped": 0,
+    "crashed": 0,
+    "invalid": 0,
+    "from_cache": 0
+  },
   "stats": {
     "jobs": 1,
     "grammars": 1,
@@ -323,119 +423,45 @@ let golden =
         "misses": 1,
         "evictions": 0
       },
-      "session_shards": [
-        {
-          "hits": 0,
-          "misses": 1,
-          "evictions": 0
-        }
-      ],
       "reports": {
         "hits": 0,
         "misses": 1,
         "evictions": 0
       }
     }
-  },
-  "grammars": [
-    {
-      "grammar": "dangling-else",
-      "digest": "2a1de4b63d8cced128cb9455f89ded12",
-      "from_cache": false,
-      "summary": {
-        "conflicts": 1,
-        "unifying": 1,
-        "nonunifying": 0,
-        "timeouts": 0,
-        "skipped": 0,
-        "crashed": 0,
-        "total_elapsed": 0.0
-      },
-      "metrics": {
-        "classify": {
-          "seconds": 0.0,
-          "spans": 1,
-          "counters": {}
-        },
-        "path_search": {
-          "seconds": 0.0,
-          "spans": 1,
-          "counters": {
-            "alloc_words": 0.0,
-            "pops": 33,
-            "relaxations": 33
-          }
-        },
-        "product.search": {
-          "seconds": 0.0,
-          "spans": 1,
-          "counters": {
-            "alloc_words": 0.0,
-            "configs_explored": 135,
-            "queue_pushes": 255
-          }
-        },
-        "table_build": {
-          "seconds": 0.0,
-          "spans": 1,
-          "counters": {
-            "conflicts": 1,
-            "states": 10
-          }
-        }
-      },
-      "conflicts": [
-        {
-          "state": 7,
-          "terminal": "ELSE",
-          "kind": "shift_reduce",
-          "classification": "dangling-else",
-          "reduce_item": "stmt ::= IF expr THEN stmt •",
-          "other_item": "stmt ::= IF expr THEN stmt • ELSE stmt",
-          "outcome": "found_unifying",
-          "elapsed": 0.0,
-          "configs_explored": 135,
-          "failure": null,
-          "validation": null,
-          "counterexample": {
-            "type": "unifying",
-            "nonterminal": "stmt",
-            "form": [
-              "IF",
-              "expr",
-              "THEN",
-              "IF",
-              "expr",
-              "THEN",
-              "stmt",
-              "ELSE",
-              "stmt"
-            ],
-            "derivation_reduce": "stmt ::= [IF expr THEN stmt ::= [IF expr THEN stmt •] ELSE stmt]",
-            "derivation_other": "stmt ::= [IF expr THEN stmt ::= [IF expr THEN stmt • ELSE stmt]]"
-          }
-        }
-      ]
-    }
-  ]
-}|}
+  }
+}
+|}
 
-(* The JSON report schema for the dangling-else grammar, with volatile
-   timings zeroed. Guards the stability of every key the service exposes:
-   conflict kind, outcome, elapsed, configs_explored, cache stats, ... *)
+(* The dangling-else batch's grammar record and summary record, as
+   [lrcex batch --json] streams them, indented and with volatile timings
+   zeroed. Guards the stability of every key the service exposes: conflict
+   kind, outcome, elapsed, configs_explored, totals, cache stats, ...
+   Regenerate with [dune exec tools/golden.exe]. *)
 let test_json_golden () =
   let g = Spec_parser.grammar_of_string_exn dangling_else in
   let service = Cex_service.Scheduler.create ~jobs:1 () in
   let results, stats =
     Cex_service.Scheduler.analyze_batch service [ ("dangling-else", g) ]
   in
-  let json =
-    Cex_service.Json.to_string
-      (Cex_service.Json.map_floats
-         (fun _ -> 0.0)
-         (Cex_service.Json_report.batch_to_json ~stats results))
+  let totals =
+    List.fold_left Cex_service.Scheduler.add_totals
+      Cex_service.Scheduler.zero_totals results
   in
-  Alcotest.(check string) "golden JSON report" golden json
+  let records =
+    List.map Cex_service.Json_report.stream_grammar_to_json results
+    @ [ Cex_service.Json_report.stream_summary_to_json ~totals stats ]
+  in
+  let json =
+    String.concat ""
+      (List.map
+         (fun r ->
+           Cex_service.Json.to_string
+             (Cex_service.Json.map_floats (fun _ -> 0.0) r)
+           ^ "\n")
+         records)
+  in
+  Alcotest.(check string) "golden batch records" golden json
 
 (* ------------------------------------------------------------------ *)
 (* The windowed streaming pipeline (PR: bounded-memory batch). *)
@@ -458,25 +484,6 @@ let test_lru_exact_capacity () =
     (Cache.find c "a");
   Alcotest.(check int) "still at capacity" 3 (Cache.length c);
   Alcotest.(check int) "exactly one eviction" 1 (Cache.counters c).Cache.evictions
-
-(* Sharded counters aggregate per shard and sum to the totals the
-   scheduler reports. *)
-let test_sharded_counter_aggregation () =
-  let open Cex_service in
-  let c : int Cache.Sharded.t = Cache.Sharded.create ~shards:4 ~capacity:16 () in
-  let keys = List.init 12 (fun i -> Printf.sprintf "key-%d" i) in
-  List.iter
-    (fun k -> if Cache.Sharded.find c k = None then Cache.Sharded.set c k 0)
-    keys;
-  List.iter (fun k -> ignore (Cache.Sharded.find c k)) keys;
-  ignore (Cache.Sharded.find c "absent");
-  let per_shard = Cache.Sharded.counters c in
-  Alcotest.(check int) "one counters record per shard" 4 (List.length per_shard);
-  check_counters "shard totals add up"
-    { Cache.hits = 12; misses = 13; evictions = 0 }
-    (Cache.sum_counters per_shard);
-  Alcotest.(check int) "every build landed in some shard" 12
-    (Cache.Sharded.length c)
 
 let stress_entries n = List.of_seq (Corpus.Stress.seq n)
 
@@ -505,12 +512,6 @@ let test_max_live_sessions_bounded () =
        stats.Stats.max_live_sessions)
     true
     (stats.Stats.max_live_sessions <= 3 && stats.Stats.max_live_sessions > 0)
-
-let normalized_results results =
-  Cex_service.Json.to_string
-    (Cex_service.Json.map_floats
-       (fun _ -> 0.0)
-       (Cex_service.Json_report.batch_to_json results))
 
 (* Streaming emission and windowing are invisible in the reports: any
    window size, streamed or collected, yields byte-identical grammar
@@ -581,8 +582,6 @@ let suite =
       Alcotest.test_case "json-parser" `Quick test_json_parser;
       Alcotest.test_case "json-golden" `Quick test_json_golden;
       Alcotest.test_case "lru-exact-capacity" `Quick test_lru_exact_capacity;
-      Alcotest.test_case "sharded-counter-aggregation" `Quick
-        test_sharded_counter_aggregation;
       Alcotest.test_case "max-live-sessions-bounded" `Quick
         test_max_live_sessions_bounded;
       Alcotest.test_case "stream-equals-batch" `Quick test_stream_equals_batch;

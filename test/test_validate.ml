@@ -18,7 +18,7 @@ let analyzed source =
 (* ------------------------------------------------------------------ *)
 (* Acceptance: the oracle validates everything the pipeline emits. The
    small corpus categories run here; the Bv10 monsters are covered by the
-   corpus-wide `lrcex validate --corpus` CI gate. *)
+   corpus-wide `lrcex batch --corpus --validate` CI gate. *)
 
 let check_entry (e : Corpus.entry) =
   let session = Cex_session.Session.create (Corpus.grammar e) in
