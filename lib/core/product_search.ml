@@ -381,8 +381,6 @@ let rec probe v a c h i =
 
 let find_slot v a c h = probe v a c h (h land (Array.length v.hashes - 1))
 
-let visited_mem v a c = v.hashes.(find_slot v a c (key_hash a c)) >= 0
-
 let insert v c h i =
   v.keys.(i) <- c;
   v.hashes.(i) <- h;
@@ -422,7 +420,7 @@ let visited_clear v =
 
 (* Search scratch: the arena, the visited set and the bucket queue keep
    their capacity across searches and are reset by rewinding their
-   counters; [pushes] counts one search's queue pushes. Searches take
+   counters; [pushes] counts one search's queued moves. Searches take
    scratch from one free list shared by every domain and put it back when
    they finish, so a domain that a later fan-out spawns reuses what a joined
    domain grew, and a process holds one scratch per concurrent search. A
@@ -464,21 +462,6 @@ let put_scratch s =
   Mutex.protect free_scratch_lock (fun () ->
       free_scratch := s :: !free_scratch)
 
-(* Every successor goes straight into the queue through here, built at the
-   top of the arena as the configuration [c] over the nodes from [nodes0]
-   on. One not yet explored is counted as a push and queued at [cost]; one
-   already explored gives its slot and its nodes back. *)
-let emit s cost c nodes0 =
-  let a = s.arena in
-  if visited_mem s.visited a c then begin
-    a.n_cfgs <- c;
-    a.n_nodes <- nodes0
-  end
-  else begin
-    s.pushes <- s.pushes + 1;
-    Bucket_queue.add s.queue cost c
-  end
-
 (* ------------------------------------------------------------------ *)
 
 type context = {
@@ -487,6 +470,8 @@ type context = {
   analysis : Analysis.t;
   lr0 : Lr0.t;
   kbits : int;  (* bits of a packed entry holding the item id *)
+  abits : int;  (* bits of a queued move holding its argument *)
+  max_handle : int;  (* the largest handle a queued move holds *)
   first_id : int array;  (* interned id of [(p, 0)] per production [p] *)
   costs : costs;
   terminal : int;  (* the conflict terminal *)
@@ -547,8 +532,45 @@ let bump a = if a < 0 then a else a + 1
 let completes_conflict anchor keep = anchor >= 0 && anchor >= keep
 
 (* ------------------------------------------------------------------ *)
-(* Successor moves. Each emits its successors of [c], popped at [cost], in
-   the order it finds them. *)
+(* Queued moves. A successor is queued as one int and built in the arena
+   only when the queue pops it, so the arena holds explored configurations
+   alone. From the high bits down, a queued move holds the handle of the
+   explored configuration it is generated from, the side it acts on (0 for
+   side 1, 1 for side 2), its kind, and its argument in the low [abits]
+   bits. *)
+type kind =
+  | Built  (* the configuration the handle names: the initial one *)
+  | Forward  (* forward transition *)
+  | Forward_step  (* argument: the production *)
+  | Reduce
+  | Reverse  (* reverse transition; argument: the predecessor state *)
+  | Reverse_step  (* argument: the context item's id *)
+
+let kind_code = function
+  | Built -> 0
+  | Forward -> 1
+  | Forward_step -> 2
+  | Reduce -> 3
+  | Reverse -> 4
+  | Reverse_step -> 5
+
+let kinds = [| Built; Forward; Forward_step; Reduce; Reverse; Reverse_step |]
+
+let[@inline] queued ctx c kind side arg =
+  (((((c lsl 1) lor (side - 1)) lsl 3) lor kind_code kind) lsl ctx.abits)
+  lor arg
+
+let[@inline] queue s cost q =
+  s.pushes <- s.pushes + 1;
+  Bucket_queue.add s.queue cost q
+
+(* ------------------------------------------------------------------ *)
+(* Successor moves. Each move has two halves. The first queues the
+   successors of [c], popped at [cost], in the order it finds them, each
+   at its own cost: it makes every test that decides whether the move
+   applies and what it costs, reading [c]'s stacks. The second builds one
+   queued successor of [c] at the top of the arena and returns its
+   handle. *)
 
 let forward_transition ctx s cost c =
   let a = s.arena in
@@ -562,41 +584,38 @@ let forward_transition ctx s cost c =
       | Symbol.Terminal t -> t = ctx.terminal
       | Symbol.Nonterminal _ -> false
     in
-    if allowed then begin
-      let s1' = goto ctx (state_of ctx l1) z1
-      and s2' = goto ctx (state_of ctx l2) z1 in
-      if s1' >= 0 && s2' >= 0 then begin
-        let nodes0 = a.n_nodes in
-        let e1 = pack ctx s1' (id_of ctx l1 + 1)
-        and e2 = pack ctx s2' (id_of ctx l2 + 1) in
-        let b1 = push_back a (back_of a c 1) e1 in
-        let b2 = push_back a (back_of a c 2) e2 in
-        let d = derive a c Transition in
-        set a d (o_back 1) b1;
-        set a d (o_back 2) b2;
-        set a d o_flags (get a d o_flags lor shifted_bit);
-        emit s (cost + ctx.costs.transition) d nodes0
-      end
-    end
+    if
+      allowed
+      && goto ctx (state_of ctx l1) z1 >= 0
+      && goto ctx (state_of ctx l2) z1 >= 0
+    then queue s (cost + ctx.costs.transition) (queued ctx c Forward 1 0)
   | _, _ -> ()
+
+let build_forward_transition ctx a c =
+  let l1 = last_of a c 1 and l2 = last_of a c 2 in
+  let z = Option.get (next_of ctx l1) in
+  let e1 = pack ctx (goto ctx (state_of ctx l1) z) (id_of ctx l1 + 1)
+  and e2 = pack ctx (goto ctx (state_of ctx l2) z) (id_of ctx l2 + 1) in
+  let b1 = push_back a (back_of a c 1) e1 in
+  let b2 = push_back a (back_of a c 2) e2 in
+  let d = derive a c Transition in
+  set a d (o_back 1) b1;
+  set a d (o_back 2) b2;
+  set a d o_flags (get a d o_flags lor shifted_bit);
+  d
 
 (* One successor per production of the expanded nonterminal, in grammar
    order, skipping those that cannot start with [hint] (when >= 0). *)
-let rec emit_forward_steps ctx s cost c ~side state hint = function
+let rec queue_forward_steps ctx s cost c ~side state hint = function
   | [] -> ()
   | p :: ps ->
     if hint < 0 || can_lead_to ctx p hint then begin
       let a = s.arena in
       let entry = pack ctx state ctx.first_id.(p) in
-      let back = back_of a c side in
-      let step = step_cost ctx a entry back (front_of a c side) in
-      let nodes0 = a.n_nodes in
-      let back' = push_back a back entry in
-      let d = derive a c Production_step in
-      set a d (o_back side) back';
-      emit s (cost + step) d nodes0
+      let step = step_cost ctx a entry (back_of a c side) (front_of a c side) in
+      queue s (cost + step) (queued ctx c Forward_step side p)
     end;
-    emit_forward_steps ctx s cost c ~side state hint ps
+    queue_forward_steps ctx s cost c ~side state hint ps
 
 let forward_production_steps ctx s cost c ~side =
   let a = s.arena in
@@ -609,61 +628,68 @@ let forward_production_steps ctx s cost c ~side =
       if not (flag a c shifted_bit) then ctx.terminal
       else next_terminal_hint ctx (last_of a c (3 - side))
     in
-    emit_forward_steps ctx s cost c ~side (state_of ctx l) hint
+    queue_forward_steps ctx s cost c ~side (state_of ctx l) hint
       (Grammar.productions_of ctx.g nt)
   | Some (Symbol.Terminal _) | None -> ()
 
+let build_forward_step ctx a c ~side p =
+  let entry = pack ctx (state_of ctx (last_of a c side)) ctx.first_id.(p) in
+  let back = push_back a (back_of a c side) entry in
+  let d = derive a c Production_step in
+  set a d (o_back side) back;
+  d
+
 (* Reduction on one side (paper, Fig. 10(f)): the last [rhs + 1] entries
-   give way to the context item advanced over the left-hand side. They are
-   dropped from the back stack; when they reach into the front stack, the
-   kept prefix is rebuilt as a back stack. *)
+   give way to the context item advanced over the left-hand side. *)
 let reduction ctx s cost c ~side =
   let a = s.arena in
-  let front = front_of a c side and back = back_of a c side in
-  let l = last a front back in
+  let l = last_of a c side in
   if is_reduce_of ctx l then begin
     let len_rhs = Lr0.rhs_length_of_id ctx.lr0 (id_of ctx l) in
-    let len_seq = seq_length a front back in
     (* Respect the lookahead set: if the next terminal is already
        determined, the reduce item must admit it; before the conflict
        terminal is consumed, the conflict terminal itself must be
        admissible. *)
-    if len_seq >= len_rhs + 2 then begin
+    if length_of a c side >= len_rhs + 2 then begin
       let la = lookahead_of ctx l in
       let hint = next_terminal_hint ctx (last_of a c (3 - side)) in
       if
         (hint < 0 || Bitset.mem la hint)
         && (flag a c shifted_bit || Bitset.mem la ctx.terminal)
-      then begin
-        let lhs = Lr0.lhs_of_id ctx.lr0 (id_of ctx l) in
-        let keep = len_seq - len_rhs - 1 in
-        let nodes0 = a.n_nodes in
-        let front', kept =
-          if size a back > len_rhs then front, drop a back (len_rhs + 1)
-          else -1, rebuild a front keep (-1)
-        in
-        let ctx_entry = last a front' kept in
-        (match next_of ctx ctx_entry with
-        | Some (Symbol.Nonterminal nt) when nt = lhs -> ()
-        | _ -> assert false);
-        let s' =
-          (Lr0.state ctx.lr0 (state_of ctx ctx_entry)).Lr0.goto_nonterminal.(lhs)
-        in
-        assert (s' >= 0);
-        let back' = push_back a kept (pack ctx s' (id_of ctx ctx_entry + 1)) in
-        let anchor = get a c (o_anchor side) in
-        let completes = completes_conflict anchor keep in
-        let d = derive a c (if side = 1 then Reduction1 else Reduction2) in
-        set a d (o_front side) front';
-        set a d (o_back side) back';
-        if completes then begin
-          set a d (o_anchor side) (-1);
-          set a d o_flags (get a d o_flags lor complete_bit side)
-        end;
-        emit s (cost + ctx.costs.reduction) d nodes0
-      end
+      then queue s (cost + ctx.costs.reduction) (queued ctx c Reduce side 0)
     end
   end
+
+(* The entries are dropped from the back stack; when they reach into the
+   front stack, the kept prefix is rebuilt as a back stack. *)
+let build_reduction ctx a c ~side =
+  let front = front_of a c side and back = back_of a c side in
+  let l = last a front back in
+  let len_rhs = Lr0.rhs_length_of_id ctx.lr0 (id_of ctx l) in
+  let lhs = Lr0.lhs_of_id ctx.lr0 (id_of ctx l) in
+  let keep = seq_length a front back - len_rhs - 1 in
+  let front', kept =
+    if size a back > len_rhs then front, drop a back (len_rhs + 1)
+    else -1, rebuild a front keep (-1)
+  in
+  let ctx_entry = last a front' kept in
+  (match next_of ctx ctx_entry with
+  | Some (Symbol.Nonterminal nt) when nt = lhs -> ()
+  | _ -> assert false);
+  let s' =
+    (Lr0.state ctx.lr0 (state_of ctx ctx_entry)).Lr0.goto_nonterminal.(lhs)
+  in
+  assert (s' >= 0);
+  let back' = push_back a kept (pack ctx s' (id_of ctx ctx_entry + 1)) in
+  let anchor = get a c (o_anchor side) in
+  let d = derive a c (if side = 1 then Reduction1 else Reduction2) in
+  set a d (o_front side) front';
+  set a d (o_back side) back';
+  if completes_conflict anchor keep then begin
+    set a d (o_anchor side) (-1);
+    set a d o_flags (get a d o_flags lor complete_bit side)
+  end;
+  d
 
 (* How a side that ends in a reduce item must be prepared before the
    reduction of Fig. 10(f) can fire. With [m] entries and a right-hand side
@@ -692,7 +718,7 @@ let preparation ctx a c ~side =
 
 (* One successor per predecessor state [s0] holding both retreated items
    [p1] and [p2], in predecessor order. *)
-let rec emit_reverse_transitions ctx s cost c p1 p2 = function
+let rec queue_reverse_transitions ctx s cost c p1 p2 = function
   | [] -> ()
   | s0 :: preds ->
     let a = s.arena in
@@ -708,17 +734,9 @@ let rec emit_reverse_transitions ctx s cost c p1 p2 = function
         cost + ctx.costs.reverse_transition
         + if ctx.on_path.(s0) then 0 else ctx.costs.off_path
       in
-      let nodes0 = a.n_nodes in
-      let f1 = push_front a (front_of a c 1) (pack ctx s0 p1) in
-      let f2 = push_front a (front_of a c 2) (pack ctx s0 p2) in
-      let d = derive a c Reverse_transition in
-      set a d (o_front 1) f1;
-      set a d (o_front 2) f2;
-      set a d (o_anchor 1) (bump (get a c (o_anchor 1)));
-      set a d (o_anchor 2) (bump (get a c (o_anchor 2)));
-      emit s cost' d nodes0
+      queue s cost' (queued ctx c Reverse 1 s0)
     end;
-    emit_reverse_transitions ctx s cost c p1 p2 preds
+    queue_reverse_transitions ctx s cost c p1 p2 preds
 
 (* Reverse transition (paper, Fig. 10(c)): prepend matching predecessor
    entries to both sequences. *)
@@ -732,16 +750,28 @@ let reverse_transitions ctx s cost c =
       match (Lr0.state ctx.lr0 head).Lr0.accessing with
       | None -> ()
       | Some _ ->
-        emit_reverse_transitions ctx s cost c
+        queue_reverse_transitions ctx s cost c
           (id_of ctx f1 - 1)
           (id_of ctx f2 - 1)
           (Lr0.predecessors ctx.lr0 head)
     end
   end
 
+let build_reverse_transition ctx a c s0 =
+  let p1 = id_of ctx (first_of a c 1) - 1
+  and p2 = id_of ctx (first_of a c 2) - 1 in
+  let f1 = push_front a (front_of a c 1) (pack ctx s0 p1) in
+  let f2 = push_front a (front_of a c 2) (pack ctx s0 p2) in
+  let d = derive a c Reverse_transition in
+  set a d (o_front 1) f1;
+  set a d (o_front 2) f2;
+  set a d (o_anchor 1) (bump (get a c (o_anchor 1)));
+  set a d (o_anchor 2) (bump (get a c (o_anchor 2)));
+  d
+
 (* One successor per context item of [state] whose next symbol is the front
    item's left-hand side, in the state's item order. *)
-let rec emit_reverse_steps ctx s cost c ~side ~pending state = function
+let rec queue_reverse_steps ctx s cost c ~side ~pending state = function
   | [] -> ()
   | (ctx_item : Item.t) :: items ->
     let ctx_id = Lr0.item_id ctx.lr0 ctx_item in
@@ -755,16 +785,10 @@ let rec emit_reverse_steps ctx s cost c ~side ~pending state = function
     then begin
       let a = s.arena in
       let entry = pack ctx state ctx_id in
-      let front = front_of a c side in
-      let step = step_cost ctx a entry front (back_of a c side) in
-      let nodes0 = a.n_nodes in
-      let front' = push_front a front entry in
-      let d = derive a c Production_step in
-      set a d (o_front side) front';
-      set a d (o_anchor side) (bump (get a c (o_anchor side)));
-      emit s (cost + step) d nodes0
+      let step = step_cost ctx a entry (front_of a c side) (back_of a c side) in
+      queue s (cost + step) (queued ctx c Reverse_step side ctx_id)
     end;
-    emit_reverse_steps ctx s cost c ~side ~pending state items
+    queue_reverse_steps ctx s cost c ~side ~pending state items
 
 (* Reverse production step (paper, Fig. 10(d)/(e)): prepend a context item of
    the same state to whichever sequence starts with a dot-0 item. *)
@@ -786,16 +810,26 @@ let reverse_production_steps ctx s cost c ~side =
         (side = 1 || not ctx.is_shift_reduce)
         && not (flag a c (complete_bit side))
       in
-      emit_reverse_steps ctx s cost c ~side ~pending f_state
+      queue_reverse_steps ctx s cost c ~side ~pending f_state
         (Lr0.state ctx.lr0 f_state).Lr0.with_next_nonterminal.(lhs)
     end
   end
 
-(* Every successor of [c], emitted in a fixed order that the equivalence
+let build_reverse_step ctx a c ~side ctx_id =
+  let entry = pack ctx (state_of ctx (first_of a c side)) ctx_id in
+  let front = push_front a (front_of a c side) entry in
+  let d = derive a c Production_step in
+  set a d (o_front side) front;
+  set a d (o_anchor side) (bump (get a c (o_anchor side)));
+  d
+
+(* Every successor of [c], queued in a fixed order that the equivalence
    golden pins: the moves that prepare a side for its reduction first, then
    reductions, forward production steps and the forward transition; side 2
    before side 1 within each kind. *)
 let successors ctx s cost c =
+  if c > ctx.max_handle then
+    invalid_arg "Product_search: configuration handle overflows a queued move";
   let a = s.arena in
   let prep1 = preparation ctx a c ~side:1
   and prep2 = preparation ctx a c ~side:2 in
@@ -818,6 +852,19 @@ let successors ctx s cost c =
   forward_production_steps ctx s cost c ~side:2;
   forward_production_steps ctx s cost c ~side:1;
   forward_transition ctx s cost c
+
+(* The configuration that the queued move [q] makes, built at the top of
+   the arena. *)
+let build ctx a q =
+  let arg = q land ((1 lsl ctx.abits) - 1) and r = q lsr ctx.abits in
+  let c = r lsr 4 and side = ((r lsr 3) land 1) + 1 in
+  match kinds.(r land 7) with
+  | Built -> c
+  | Forward -> build_forward_transition ctx a c
+  | Forward_step -> build_forward_step ctx a c ~side arg
+  | Reduce -> build_reduction ctx a c ~side
+  | Reverse -> build_reverse_transition ctx a c arg
+  | Reverse_step -> build_reverse_step ctx a c ~side arg
 
 (* ------------------------------------------------------------------ *)
 (* Derivations on demand, rebuilt by replaying the chain of moves from the
@@ -924,16 +971,23 @@ let success ctx a c =
    shares; the driver memoizes one per session and passes it in. *)
 type shared = {
   s_kbits : int;
+  s_abits : int;
   s_first_id : int array;
 }
+
+(* The bits that hold every int from 0 to [n - 1]. *)
+let bits n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  go 1
 
 let shared_of_lalr lalr =
   let lr0 = Lalr.lr0 lalr in
   let g = Lalr.grammar lalr in
-  { s_kbits =
-      (let n = Lr0.n_item_ids lr0 in
-       let rec go b = if 1 lsl b >= n then b else go (b + 1) in
-       go 1);
+  { s_kbits = bits (Lr0.n_item_ids lr0);
+    s_abits =
+      bits
+        (max (Grammar.n_productions g)
+           (max (Lr0.n_item_ids lr0) (Lr0.n_states lr0)));
     s_first_id =
       Array.init (Grammar.n_productions g) (fun p ->
           Lr0.item_id lr0 (Item.make p 0)) }
@@ -952,7 +1006,7 @@ let search ?(costs = default_costs) ?(extended = false)
   let g = Lalr.grammar lalr in
   let on_path = Array.make (Lr0.n_states lr0) false in
   List.iter (fun s -> on_path.(s) <- true) path_states;
-  let { s_kbits = kbits; s_first_id = first_id } =
+  let { s_kbits = kbits; s_abits = abits; s_first_id = first_id } =
     match shared with Some s -> s | None -> shared_of_lalr lalr
   in
   let ctx =
@@ -961,6 +1015,8 @@ let search ?(costs = default_costs) ?(extended = false)
       analysis = Lalr.analysis lalr;
       lr0;
       kbits;
+      abits;
+      max_handle = max_int lsr (abits + 4);
       first_id;
       costs;
       terminal = conflict.Conflict.terminal;
@@ -975,7 +1031,6 @@ let search ?(costs = default_costs) ?(extended = false)
   let scratch = take_scratch () in
   let a = scratch.arena in
   let visited = scratch.visited in
-  let queue = scratch.queue in
   let back1 =
     push_back a (-1)
       (pack ctx conflict.Conflict.state
@@ -996,8 +1051,7 @@ let search ?(costs = default_costs) ?(extended = false)
   set a initial (o_front 2) (-1);
   set a initial (o_back 2) back2;
   set a initial o_parent initial;
-  Bucket_queue.add queue 0 initial;
-  scratch.pushes <- 1;
+  queue scratch 0 (queued ctx initial Built 1 0);
   let explored = ref 0 in
   let result = ref None in
   let give_up =
@@ -1006,20 +1060,27 @@ let search ?(costs = default_costs) ?(extended = false)
     ref (if Cex_session.Deadline.expired deadline then Some `Timeout else None)
   in
   while Option.is_none !result && Option.is_none !give_up do
-    if Bucket_queue.is_empty queue then give_up := Some `Exhausted
+    if Bucket_queue.is_empty scratch.queue then give_up := Some `Exhausted
     else if
       !explored land Cex_session.Deadline.poll_mask = 0
       && Cex_session.Deadline.expired deadline
     then give_up := Some `Timeout
     else if !explored > max_configs then give_up := Some `Timeout
     else begin
-      let cost = Bucket_queue.min_priority queue in
-      let c = Bucket_queue.pop queue in
+      let cost = Bucket_queue.min_priority scratch.queue in
+      let q = Bucket_queue.pop scratch.queue in
+      let n_nodes = a.n_nodes and n_cfgs = a.n_cfgs in
+      let c = build ctx a q in
       if visited_add visited a c then begin
         incr explored;
         match success ctx a c with
         | Some u -> result := Some u
         | None -> successors ctx scratch cost c
+      end
+      else begin
+        (* Already explored: give its slot and its nodes back. *)
+        a.n_cfgs <- n_cfgs;
+        a.n_nodes <- n_nodes
       end
     end
   done;

@@ -13,16 +13,21 @@
     configuration, only for configurations that pass every other success
     test.
 
-    Configurations live in an arena of int arrays, which keeps its
-    capacity from search to search and is reset by rewinding its counters.
-    Searches take arenas from one free list that every domain shares, so a
-    process holds one per concurrent search, and a domain that a later
-    fan-out spawns reuses what a joined one grew. Each item sequence is two
-    stacks of nodes shared with the sequences it was derived from: reverse
-    moves push onto the front stack, forward moves onto the back stack, and
-    reductions truncate the back stack. A move adds one node however long
-    the sequence is, so a configuration costs O(1) words and a successor
-    allocates nothing on the heap once the arena has grown.
+    A successor is queued as one int: the handle of the explored
+    configuration it comes from, its move and the move's argument. It is
+    built only when the queue pops it, then probed once in the visited
+    set; one already explored gives its cells back. So configurations live
+    in an arena of int arrays that holds explored configurations alone,
+    keeps its capacity from search to search and is reset by rewinding its
+    counters. Searches take arenas from one free list that every domain
+    shares, so a process holds one per concurrent search, and a domain that
+    a later fan-out spawns reuses what a joined one grew. Each item
+    sequence is two stacks of nodes shared with the sequences it was
+    derived from: reverse moves push onto the front stack, forward moves
+    onto the back stack, and reductions truncate the back stack. A move
+    adds one node however long the sequence is, so a configuration costs
+    O(1) words and a successor allocates nothing on the heap once the arena
+    has grown.
 
     By default, reverse transitions are restricted to states on the shortest
     lookahead-sensitive path (the paper's practical tradeoff, section 6);
@@ -92,7 +97,11 @@ val search :
     entry and polled every {!Cex_session.Deadline.poll_interval} explored
     configurations; expiry yields {!Timeout}, exactly like exceeding
     [max_configs] (default 400k). Emits [configs_explored] and
-    [queue_pushes] counters for the ["product.search"] stage into [trace].
+    [queue_pushes] counters for the ["product.search"] stage into [trace];
+    [queue_pushes] counts the initial configuration and every queued
+    successor, those found already explored when popped included. Raises
+    [Invalid_argument] if a configuration handle outgrows the bits that a
+    queued move leaves it, which the automaton's size decides.
     [stats.elapsed] is measured on the deadline's clock (the system
     monotonic clock for {!Cex_session.Deadline.never}). [shared] (default:
     rebuilt per call) must come from {!shared_of_lalr} on the same

@@ -148,7 +148,7 @@ let reuse_from_base ~options t session
      consumed, so duplicated signatures cannot fan one counterexample out to
      several conflicts. *)
   let base_index = Hashtbl.create 16 in
-  (match Scheduler.find_report t.scheduler ~options base_digest with
+  (match Scheduler.peek_report t.scheduler ~options base_digest with
   | Some base_report ->
     let base_g = Session.grammar base_session in
     List.iter

@@ -34,7 +34,6 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let capacity t = t.capacity
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 
 let touch t entry =
@@ -76,6 +75,10 @@ let add_unlocked t key value =
 
 let find t key = with_lock t (fun () -> find_unlocked t key)
 
+let peek t key =
+  with_lock t (fun () ->
+      Option.map (fun entry -> entry.value) (Hashtbl.find_opt t.table key))
+
 (* Removing a live entry first keeps its replacement from evicting
    another. *)
 let set t key value =
@@ -86,8 +89,6 @@ let set t key value =
 let counters t =
   with_lock t (fun () ->
       { hits = t.hits; misses = t.misses; evictions = t.evictions })
-
-let clear t = with_lock t (fun () -> Hashtbl.reset t.table)
 
 let fold f t init =
   with_lock t (fun () ->

@@ -26,11 +26,13 @@ val digest : Cfg.Grammar.t -> string
 val create : ?capacity:int -> unit -> 'a t
 (** Default capacity 128 entries. [capacity] is clamped to at least 1. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val find : 'a t -> string -> 'a option
 (** Lookup, refreshing the entry's recency and counting a hit or a miss. *)
+
+val peek : 'a t -> string -> 'a option
+(** Lookup without refreshing recency or touching the counters. *)
 
 val set : 'a t -> string -> 'a -> unit
 (** Insert or replace without touching the hit/miss counters (used when the
@@ -38,8 +40,6 @@ val set : 'a t -> string -> 'a -> unit
     Replacing a live entry evicts nothing. *)
 
 val counters : 'a t -> counters
-val clear : 'a t -> unit
-(** Drop all entries; counters are preserved. *)
 
 val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Fold over the live entries (unspecified order) without refreshing

@@ -47,6 +47,9 @@ let report_key t options digest =
 let find_report t ?options digest =
   Cache.find t.reports (report_key t options digest)
 
+let peek_report t ?options digest =
+  Cache.peek t.reports (report_key t options digest)
+
 let store_report t ?options digest report =
   Cache.set t.reports (report_key t options digest) report
 

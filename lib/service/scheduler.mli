@@ -71,6 +71,11 @@ val fold_sessions :
 val find_report :
   t -> ?options:Cex.Driver.options -> string -> Cex.Driver.report option
 
+val peek_report :
+  t -> ?options:Cex.Driver.options -> string -> Cex.Driver.report option
+(** {!find_report} without touching recency or counters (used to read a
+    delta answer's base report, which answers no request by itself). *)
+
 val store_report :
   t -> ?options:Cex.Driver.options -> string -> Cex.Driver.report -> unit
 (** Same direct access to the finished-report cache. A report is keyed by

@@ -235,11 +235,16 @@ let test_report_cache_keys_options () =
           (string_at [ "counterexample"; "type" ] conflict)
       | _ -> Alcotest.fail "expected one conflict")
 
+let report_hits c =
+  int_at [ "stats"; "cache"; "reports"; "hits" ]
+    (rpc c {|{"op":"stats","id":"s"}|})
+
 let test_delta_reuse_on_one_production_edit () =
   with_server ~clients:1 (fun _server clients ->
       let c = List.hd clients in
       let r1 = rpc c (analyze_line ~id:"base" dangling) in
       check_ok "base" r1;
+      let hits = report_hits c in
       let r2 =
         rpc c
           (analyze_line ~id:"edited" ~extra:",\"cross_check\":true"
@@ -248,6 +253,10 @@ let test_delta_reuse_on_one_production_edit () =
       check_ok "edited" r2;
       Alcotest.(check string) "served by delta reuse" "delta"
         (string_at [ "served" ] r2);
+      (* The base report is read, not served: the report cache counts a hit
+         only for an answer it gives. *)
+      Alcotest.(check int) "a delta answer counts no report-cache hit" hits
+        (report_hits c);
       Alcotest.(check string) "reused from the base session"
         (string_at [ "digest" ] r1)
         (string_at [ "reuse"; "base_digest" ] r2);

@@ -346,7 +346,7 @@ let golden =
       "counters": {
         "alloc_words": 0.0,
         "configs_explored": 135,
-        "queue_pushes": 255
+        "queue_pushes": 273
       }
     },
     "table_build": {
